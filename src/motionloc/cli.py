@@ -8,15 +8,14 @@ diverged training).
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .datagen import (CorpusFormatError, CorpusSpec, GenerationError,
-                      generate_corpus, save_corpus)
+from .datagen import (CorpusFormatError, GenerationError, generate_corpus,
+                      save_corpus)
 from .motiongraph import adjacency_mean_distance, build_graph
 from .network import guidance_features, init_params, load_params
 from .numcore import DomainError, NonFiniteError, ShapeMismatchError
@@ -51,20 +50,11 @@ def _load_experiment(args):
 
 
 def _cmd_generate(args):
-    spec = CorpusSpec()
-    if args.spec:
-        data = json.loads(Path(args.spec).read_text())
-        names = {f.name for f in dataclasses.fields(CorpusSpec)}
-        unknown = sorted(set(data) - names)
-        if unknown:
-            raise ConfigError(f"unknown corpus key(s): {', '.join(unknown)}")
-        spec = dataclasses.replace(spec, **data)
+    data = json.loads(Path(args.spec).read_text()) if args.spec else {}
+    cfg = config_from_dict({"corpus": data})
     if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
-    try:
-        spec.validate()
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+        cfg = config_from_dict({"corpus": {"seed": args.seed}}, base=cfg)
+    spec = cfg.corpus
     train, test = generate_corpus(spec)
     out = resolve_out(args.out)
     save_corpus(out, train, test, spec)
@@ -136,10 +126,12 @@ def _cmd_dump_graph(args):
                         params.W2, cfg.graph)
     out = resolve_out(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(out, graph.adjacency, delimiter=",")
-    print(f"video {video.id}: {len(graph.pos_edges)} positional edges, "
-          f"{len(graph.smt_edges)} semantic edges, "
-          f"mean span {adjacency_mean_distance(graph.adjacency):.3f}, "
+    # mlp mode propagates over no graph, which the identity matrix stands for
+    adjacency = np.eye(graph.T) if graph.adjacency is None else graph.adjacency
+    np.savetxt(out, adjacency, delimiter=",")
+    print(f"video {video.id}: {np.count_nonzero(graph.pos_edges)} positional "
+          f"edges, {np.count_nonzero(graph.smt_edges)} semantic edges, "
+          f"mean span {adjacency_mean_distance(adjacency):.3f}, "
           f"adjacency written to {out}")
 
 

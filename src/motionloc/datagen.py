@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numcore import split_rng
 
@@ -96,18 +97,6 @@ class SyntheticVideo:
             raise ValueError(f"{self.id}: non-finite features")
 
 
-def videos_equal(a: SyntheticVideo, b: SyntheticVideo) -> bool:
-    return (
-        a.id == b.id
-        and a.T == b.T
-        and a.gt_intervals == b.gt_intervals
-        and np.array_equal(a.label, b.label)
-        and a.confounder_idx == b.confounder_idx
-        and np.array_equal(a.appearance, b.appearance)
-        and np.array_equal(a.motion, b.motion)
-    )
-
-
 def _smoothed_noise(rng: np.random.Generator, T: int, d: int) -> np.ndarray:
     """Unit-variance Gaussian noise with short-range temporal correlation."""
     L = NOISE_SMOOTHING
@@ -181,10 +170,10 @@ def _generate_video(spec: CorpusSpec, vid: str, rng: np.random.Generator,
                                                MAX_CONFOUNDER_LEN + 1)))
         placed = False
         while run_len >= 1:
-            starts = [t for t in range(T - run_len + 1)
-                      if not occupied[t : t + run_len].any()]
-            if starts:
-                s = int(starts[int(rng.integers(0, len(starts)))])
+            starts = np.flatnonzero(
+                ~sliding_window_view(occupied, run_len).any(axis=1))
+            if starts.size:
+                s = int(starts[int(rng.integers(0, starts.size))])
                 c = int(rng.choice(label_classes))
                 appearance[s : s + run_len] = (
                     appearance_protos[c]

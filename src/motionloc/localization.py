@@ -1,6 +1,6 @@
 """Inference: video-level classification, thresholded runs, NMS.
 
-Scores arrive as a plain T x C array (no tape needed at test time). Each
+Scores arrive as a plain T x C array (no gradients at test time). Each
 predicted class's column is min-max normalized, swept over a threshold
 grid, and maximal above-threshold runs become proposals scored by the
 mean raw column value inside them.
@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import as_matrix
+from .numcore import as_matrix, constant
+from .objective import aggregate_topk
 
 DEFAULT_THETA_A = tuple(round(0.025 * i, 3) for i in range(11))  # 0 .. 0.25
 
@@ -57,17 +58,13 @@ def iou(a, b):
 
 
 def classify_video(tcas, r, theta_c):
-    """Classes whose softmax top-k video score clears theta_c (argmax fallback)."""
-    scores = as_matrix(tcas, "tcas")
-    T, C = scores.shape
-    k = max(1, T // r)
-    video = np.sort(scores, axis=0)[::-1][:k].mean(axis=0)
-    z = video - video.max()
-    p = np.exp(z) / np.exp(z).sum()
-    chosen = [c for c in range(C) if p[c] > theta_c]
-    if not chosen:
-        chosen = [int(np.argmax(p))]
-    return chosen
+    """Classes whose softmax top-k video score clears theta_c (argmax fallback).
+
+    The video score is the one training optimizes (objective.aggregate_topk).
+    """
+    p = aggregate_topk(constant(tcas), r).probs.value[0]
+    chosen = [c for c in range(p.size) if p[c] > theta_c]
+    return chosen or [int(np.argmax(p))]
 
 
 def _runs(mask):

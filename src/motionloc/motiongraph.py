@@ -4,8 +4,8 @@ The sparse graph connects each snippet to its temporal neighbourhood
 (positional edges) and to distant snippets whose projected motion
 features point the same way (semantic edges).  Edge weights are raw
 cosine similarities.  A dense baseline normalizes projected inner
-products over full rows, and an identity graph backs the plain-MLP
-ablation.
+products over full rows, and the plain-MLP ablation propagates over no
+graph at all.
 """
 
 from dataclasses import dataclass, field
@@ -38,10 +38,11 @@ class GraphConfig:
 
 @dataclass(frozen=True, eq=False)
 class MotionGraph:
+    """Edges as T x T boolean masks; mlp mode carries no adjacency (None)."""
     T: int
-    pos_edges: frozenset = field(repr=False)
-    smt_edges: frozenset = field(repr=False)
-    adjacency: np.ndarray = field(repr=False)
+    pos_edges: np.ndarray = field(repr=False)
+    smt_edges: np.ndarray = field(repr=False)
+    adjacency: np.ndarray | None = field(repr=False)
 
 
 def _unit_rows(x):
@@ -51,21 +52,24 @@ def _unit_rows(x):
     return x / safe
 
 
+def _distance(T):
+    """T x T matrix of temporal distances |i-j|."""
+    idx = np.arange(T)
+    return np.abs(idx[:, None] - idx[None, :])
+
+
 def build_positional_edges(motion, cfg):
-    """Ordered pairs (i,j) with |i-j|/T below the positional threshold."""
+    """Mask of ordered pairs (i,j) with |i-j|/T below the positional threshold."""
     motion = as_matrix(motion, "motion")
     T = motion.shape[0]
-    idx = np.arange(T)
-    delta = np.abs(idx[:, None] - idx[None, :])
-    mask = (delta / T) < cfg.theta_pos
+    mask = (_distance(T) / T) < cfg.theta_pos
     if not cfg.include_self:
         np.fill_diagonal(mask, False)
-    ii, jj = np.nonzero(mask)
-    return {(int(i), int(j)) for i, j in zip(ii, jj)}
+    return mask
 
 
 def build_semantic_edges(motion, W1, W2, cfg):
-    """Distant pairs whose projected features agree in direction.
+    """Mask of distant pairs whose projected features agree in direction.
 
     A pair qualifies when |i-j|/T exceeds the positional threshold and
     cos(W1 m_i, W2 m_j) exceeds gamma; the result is symmetrized.
@@ -79,25 +83,15 @@ def build_semantic_edges(motion, W1, W2, cfg):
             f"projections must be {d}x{d}, got {W1.shape} and {W2.shape}")
     p1 = _unit_rows(motion @ W1.T)
     p2 = _unit_rows(motion @ W2.T)
-    cos = p1 @ p2.T
-    idx = np.arange(T)
-    distant = (np.abs(idx[:, None] - idx[None, :]) / T) > cfg.theta_pos
-    qual = distant & (cos > cfg.gamma)
-    qual = qual | qual.T
-    ii, jj = np.nonzero(qual)
-    return {(int(i), int(j)) for i, j in zip(ii, jj)}
+    distant = (_distance(T) / T) > cfg.theta_pos
+    qual = distant & ((p1 @ p2.T) > cfg.gamma)
+    return qual | qual.T
 
 
-def build_adjacency(motion, edges, cfg):
-    """Raw-feature cosine weights on the given edges, zero elsewhere."""
-    motion = as_matrix(motion, "motion")
-    T = motion.shape[0]
-    u = _unit_rows(motion)
-    cos = u @ u.T
-    G = np.zeros((T, T))
-    if edges:
-        ii, jj = zip(*edges)
-        G[list(ii), list(jj)] = cos[list(ii), list(jj)]
+def build_adjacency(motion, mask, cfg):
+    """Raw-feature cosine weights where the edge mask is set, zero elsewhere."""
+    u = _unit_rows(as_matrix(motion, "motion"))
+    G = np.where(mask, u @ u.T, 0.0)
     if cfg.row_normalize:
         sums = np.abs(G).sum(axis=1, keepdims=True)
         G = G / np.where(sums > _TINY_ROW_SUM, sums, 1.0)
@@ -124,30 +118,25 @@ def build_dense_adjacency(motion, W1, W2):
     return G
 
 
-def identity_projections(d, rng=None, noise=0.01):
-    """Identity plus small Gaussian noise, the default W1/W2 pair."""
-    if rng is None:
-        return np.eye(d), np.eye(d)
-    W1 = np.eye(d) + noise * rng.standard_normal((d, d))
-    W2 = np.eye(d) + noise * rng.standard_normal((d, d))
-    return W1, W2
-
-
 def build_graph(motion, W1, W2, cfg):
-    """Dispatch on cfg.mode; mlp mode carries an identity adjacency."""
+    """Dispatch on cfg.mode.
+
+    Dense and mlp graphs have empty edge masks; an mlp graph has no
+    adjacency at all, since its guidance branch propagates over nothing.
+    """
     cfg.validate()
     motion = as_matrix(motion, "motion")
     T = motion.shape[0]
+    empty = np.zeros((T, T), dtype=bool)
     if cfg.mode == "dense":
         adj = build_dense_adjacency(motion, W1, W2)
-        return MotionGraph(T, frozenset(), frozenset(), adj)
+        return MotionGraph(T, empty, empty, adj)
     if cfg.mode == "mlp":
-        return MotionGraph(T, frozenset(), frozenset(), np.eye(T))
-    pos = build_positional_edges(motion, cfg) if cfg.use_positional else set()
-    smt = build_semantic_edges(motion, W1, W2, cfg) if cfg.use_semantic else set()
-    smt -= pos  # thresholds make these disjoint already; keep it structural
-    adj = build_adjacency(motion, pos | smt, cfg)
-    return MotionGraph(T, frozenset(pos), frozenset(smt), adj)
+        return MotionGraph(T, empty, empty, None)
+    pos = build_positional_edges(motion, cfg) if cfg.use_positional else empty
+    smt = build_semantic_edges(motion, W1, W2, cfg) if cfg.use_semantic else empty
+    smt = smt & ~pos  # thresholds make these disjoint already; keep it structural
+    return MotionGraph(T, pos, smt, build_adjacency(motion, pos | smt, cfg))
 
 
 def adjacency_mean_distance(adjacency):
@@ -161,7 +150,4 @@ def adjacency_mean_distance(adjacency):
     total = A.sum()
     if abs(total) <= _TINY_ROW_SUM:
         return 0.0
-    T = A.shape[0]
-    idx = np.arange(T)
-    dist = np.abs(idx[:, None] - idx[None, :])
-    return float((A * dist).sum() / total)
+    return float((A * _distance(A.shape[0])).sum() / total)

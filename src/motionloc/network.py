@@ -120,18 +120,17 @@ def base_forward(appearance, motion, params):
     return nc.relu(temporal_conv3(embedded, params.cls))
 
 
-def guidance_forward(features, graph, params, mcfg, mode="sparse"):
+def guidance_forward(features, graph, params, mcfg):
     """Motionness sequence (T x 1) from K graph-conv rounds plus shortcut.
 
-    mode "mlp" drops the adjacency entirely (X W^k per round); sparse and
-    dense modes share the X^k = G X^{k-1} W^k update with whatever
-    adjacency the graph carries.
+    Each round is X^k = G X^{k-1} W^k with the graph's adjacency G; a
+    graph without one (mlp mode) drops G entirely (X W^k per round).
     """
     x0 = constant(as_matrix(features, "guidance features"))
-    if graph.adjacency.shape[0] != x0.rows:
+    if graph.T != x0.rows:
         raise ShapeMismatchError(
-            f"adjacency is {graph.adjacency.shape} for {x0.rows} snippets")
-    G = None if mode == "mlp" else constant(graph.adjacency)
+            f"graph has {graph.T} snippets, features have {x0.rows}")
+    G = None if graph.adjacency is None else constant(graph.adjacency)
     x = x0
     for W in params.gcn:
         x = (x if G is None else G @ x) @ W
@@ -157,10 +156,10 @@ class ForwardOutput:
     motionness: DiffNode  # T x 1, in (eps, 1-eps)
 
 
-def full_forward(video, graph, params, mcfg, mode="sparse"):
+def full_forward(video, graph, params, mcfg):
     tcas = base_forward(video.appearance, video.motion, params)
     feats = guidance_features(video, mcfg)
-    motionness = guidance_forward(feats, graph, params, mcfg, mode=mode)
+    motionness = guidance_forward(feats, graph, params, mcfg)
     return ForwardOutput(tcas=tcas, motionness=motionness)
 
 

@@ -354,17 +354,6 @@ def softmax_rows(a: DiffNode) -> DiffNode:
     return out
 
 
-def mean_all(a: DiffNode) -> DiffNode:
-    out = DiffNode(np.array([[a.value.mean()]]), (a,), "mean")
-    n = a.value.size
-
-    def rule(g):
-        a.grad += g[0, 0] / n
-
-    out._rule = rule if out.needs_grad else None
-    return out
-
-
 def sum_all(a: DiffNode) -> DiffNode:
     out = DiffNode(np.array([[a.value.sum()]]), (a,), "sum")
 
@@ -375,12 +364,6 @@ def sum_all(a: DiffNode) -> DiffNode:
     return out
 
 
-def topk_indices_column(col: np.ndarray, k: int) -> list[int]:
-    """Indices of the k largest entries; ties broken by lower index first."""
-    order = np.argsort(-col, kind="stable")
-    return [int(i) for i in order[:k]]
-
-
 def topk_mean_columns(a: DiffNode, k: int) -> tuple[DiffNode, list[list[int]]]:
     """Per-column mean of the k largest entries; 1/k gradient on the selected rows.
 
@@ -388,7 +371,8 @@ def topk_mean_columns(a: DiffNode, k: int) -> tuple[DiffNode, list[list[int]]]:
     """
     if not 1 <= k <= a.rows:
         raise ShapeMismatchError(f"topk-mean: k={k} outside [1, {a.rows}]")
-    indices = [topk_indices_column(a.value[:, c], k) for c in range(a.cols)]
+    # stable sort of the negated column: ties go to the lower index
+    indices = np.argsort(-a.value, axis=0, kind="stable")[:k].T.tolist()
     v = np.array([[a.value[idx, c].mean() for c, idx in enumerate(indices)]])
     out = DiffNode(v, (a,), "topk-mean")
 
@@ -398,33 +382,6 @@ def topk_mean_columns(a: DiffNode, k: int) -> tuple[DiffNode, list[list[int]]]:
 
     out._rule = rule if out.needs_grad else None
     return out, indices
-
-
-_UNARY = {
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "log": log,
-    "square": square,
-    "softmax-rows": softmax_rows,
-    "mean": mean_all,
-}
-_BINARY = {"mul": mul, "add": add, "concat-cols": concat_cols}
-
-
-def elementwise(a: DiffNode, kind: str, other: DiffNode | None = None,
-                k: int | None = None) -> DiffNode:
-    """Dispatch by kind name; `other` for binary kinds, `k` for topk-mean."""
-    if kind in _UNARY:
-        return _UNARY[kind](a)
-    if kind in _BINARY:
-        if other is None:
-            raise ValueError(f"{kind} needs a second operand")
-        return _BINARY[kind](a, other)
-    if kind == "topk-mean":
-        if k is None:
-            raise ValueError("topk-mean needs k")
-        return topk_mean_columns(a, k)[0]
-    raise ValueError(f"unknown elementwise kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

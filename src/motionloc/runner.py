@@ -11,6 +11,7 @@ cells whose resolved configs coincide.
 import dataclasses
 import json
 import os
+import typing
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,22 +81,36 @@ _SECTIONS = {
     "corpus": CorpusSpec, "graph": GraphConfig, "model": ModelConfig,
     "loss": LossConfig, "train": TrainConfig, "inference": InferenceConfig,
 }
-_TUPLE_FIELDS = {"theta_a_list", "eval_iou"}
+
+
+def _fits(value, want):
+    # JSON has one number type: an int may stand for a float, never a bool
+    if isinstance(value, bool):
+        return want is bool
+    return isinstance(value, (int, float) if want is float else want)
+
+
+def _typed(value, want, where):
+    """A config value checked against its field annotation; lists become tuples."""
+    if want is tuple:
+        if isinstance(value, (list, tuple)) and all(_fits(v, float) for v in value):
+            return tuple(value)
+    elif _fits(value, want):
+        return value
+    expected = "a list of numbers" if want is tuple else want.__name__
+    raise ConfigError(f"{where} must be {expected}, got {value!r}")
 
 
 def _merge_section(cls, current, data, where):
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be an object, got {type(data).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-    kwargs = {name: getattr(current, name) for name in names}
-    for key, value in data.items():
-        if key in _TUPLE_FIELDS and isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
-    return cls(**kwargs)
+    return dataclasses.replace(current, **{
+        key: _typed(value, hints[key], f"{where}.{key}")
+        for key, value in data.items()})
 
 
 def config_from_dict(data, base=None):
@@ -103,19 +118,14 @@ def config_from_dict(data, base=None):
     cfg = base if base is not None else ExperimentConfig()
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    known = set(_SECTIONS) | {"eval_iou", "out_dir"}
-    unknown = sorted(set(data) - known)
+    hints = typing.get_type_hints(ExperimentConfig)
+    unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
-    kwargs = {}
-    for name, cls in _SECTIONS.items():
-        section = getattr(cfg, name)
-        if name in data:
-            section = _merge_section(cls, section, data[name], name)
-        kwargs[name] = section
-    kwargs["eval_iou"] = tuple(data.get("eval_iou", cfg.eval_iou))
-    kwargs["out_dir"] = data.get("out_dir", cfg.out_dir)
-    merged = ExperimentConfig(**kwargs)
+    merged = dataclasses.replace(cfg, **{
+        key: (_merge_section(hints[key], getattr(cfg, key), value, key)
+              if key in _SECTIONS else _typed(value, hints[key], key))
+        for key, value in data.items()})
     try:
         merged.validate()
     except ValueError as e:
@@ -181,8 +191,7 @@ def run_training(cfg, train_videos, log=None):
             nc.zero_grads(trainable)
             for i in batch:
                 video = train_videos[int(i)]
-                out = full_forward(video, graphs[int(i)], params, mcfg,
-                                   mode=cfg.graph.mode)
+                out = full_forward(video, graphs[int(i)], params, mcfg)
                 loss, _ = per_video_loss(out, video.label, cfg.loss)
                 value = loss.item()
                 if not np.isfinite(value):
@@ -208,7 +217,7 @@ def run_evaluation(cfg, params, videos):
     for video in videos:
         graph = build_graph(guidance_features(video, mcfg), params.W1,
                             params.W2, cfg.graph)
-        out = full_forward(video, graph, params, mcfg, mode=cfg.graph.mode)
+        out = full_forward(video, graph, params, mcfg)
         for prop in localize_video(out.tcas.value, cfg.loss.r, cfg.inference):
             dets_by_class[prop.cls].append((video.id, prop))
         kls.append(kl_guidance(out.motionness.value, video.gt_mask()))

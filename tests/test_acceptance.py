@@ -33,8 +33,7 @@ from motionloc.localization import Proposal
 from motionloc.motiongraph import (GraphConfig, adjacency_mean_distance,
                                    build_dense_adjacency, build_graph,
                                    build_positional_edges,
-                                   build_semantic_edges,
-                                   identity_projections)
+                                   build_semantic_edges)
 from motionloc.numcore import constant
 from motionloc.objective import LossConfig
 from motionloc.runner import (config_from_dict, default_ablation_matrix,
@@ -87,7 +86,7 @@ def test_criterion_1_gradient_correctness():
             cfg = LossConfig(loss_kind=kind)
 
             def build():
-                out = net.full_forward(video, graph, params, mcfg, mode=mode)
+                out = net.full_forward(video, graph, params, mcfg)
                 loss, _ = obj.per_video_loss(out, video.label, cfg)
                 return loss
 
@@ -149,8 +148,20 @@ def test_criterion_3_collapse_at_full_motionness():
 # 4. graph construction invariants
 
 
+def _edge_set(mask):
+    """The (i, j) pairs a boolean edge mask holds."""
+    return {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))}
+
+
 def _symmetric(edges):
     return {(j, i) for i, j in edges} == set(edges)
+
+
+def identity_projections(d, rng, noise=0.01):
+    """Identity plus small Gaussian noise, the W1/W2 pair init_params draws."""
+    W1 = np.eye(d) + noise * rng.standard_normal((d, d))
+    W2 = np.eye(d) + noise * rng.standard_normal((d, d))
+    return W1, W2
 
 
 def test_criterion_4_graph_invariants():
@@ -165,8 +176,8 @@ def test_criterion_4_graph_invariants():
         gamma = float(rng.uniform(-0.5, 0.9))
         cfg = GraphConfig(theta_pos=theta, gamma=gamma)
         W1, W2 = identity_projections(d, rng)
-        pos = build_positional_edges(motion, cfg)
-        smt = build_semantic_edges(motion, W1, W2, cfg)
+        pos = _edge_set(build_positional_edges(motion, cfg))
+        smt = _edge_set(build_semantic_edges(motion, W1, W2, cfg))
         if pos & smt:
             failures.append((trial, "edge sets overlap"))
         if not (_symmetric(pos) and _symmetric(smt)):
@@ -174,26 +185,26 @@ def test_criterion_4_graph_invariants():
         if len(pos) > T * (2 * int(np.ceil(theta * T)) - 1):
             failures.append((trial, "positional sparsity bound"))
         wider = GraphConfig(theta_pos=min(0.95, theta + 0.1), gamma=gamma)
-        if not pos <= build_positional_edges(motion, wider):
+        if not pos <= _edge_set(build_positional_edges(motion, wider)):
             failures.append((trial, "theta monotonicity"))
         stricter = GraphConfig(theta_pos=theta,
                                gamma=min(0.999, gamma + 0.05))
-        if not build_semantic_edges(motion, W1, W2, stricter) <= smt:
+        if not _edge_set(build_semantic_edges(motion, W1, W2, stricter)) <= smt:
             failures.append((trial, "gamma monotonicity"))
         if trial % 20 == 0:
             extreme = GraphConfig(theta_pos=1.0 - 1e-12, gamma=gamma)
-            if build_positional_edges(motion, extreme) != {
+            if _edge_set(build_positional_edges(motion, extreme)) != {
                     (i, j) for i in range(T) for j in range(T)}:
                 failures.append((trial, "theta->1 not complete"))
-            if build_semantic_edges(motion, W1, W2, extreme):
+            if _edge_set(build_semantic_edges(motion, W1, W2, extreme)):
                 failures.append((trial, "theta->1 semantic not empty"))
             tight = GraphConfig(theta_pos=theta, gamma=1.0 - 1e-9)
-            if build_semantic_edges(motion, W1, W2, tight):
+            if _edge_set(build_semantic_edges(motion, W1, W2, tight)):
                 failures.append((trial, "gamma->1 not empty"))
         rescaled = float(rng.uniform(0.5, 50.0)) * motion
-        if build_positional_edges(rescaled, cfg) != pos:
+        if _edge_set(build_positional_edges(rescaled, cfg)) != pos:
             failures.append((trial, "positional scale invariance"))
-        if build_semantic_edges(rescaled, W1, W2, cfg) != smt:
+        if _edge_set(build_semantic_edges(rescaled, W1, W2, cfg)) != smt:
             failures.append((trial, "semantic scale invariance"))
         g1 = build_graph(motion, W1, W2, cfg)
         g2 = build_graph(rescaled, W1, W2, cfg)

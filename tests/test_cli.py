@@ -52,6 +52,14 @@ class TestGenerate:
         assert code == 2
         assert "length" in capsys.readouterr().err
 
+    def test_spec_not_an_object(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([3, 2]))
+        code = main(["generate", "--spec", str(spec), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "corpus must be an object" in err and "Traceback" not in err
+
 
 class TestTrainEval:
     def test_train_then_eval(self, tmp_path, capsys):
@@ -81,6 +89,20 @@ class TestTrainEval:
         path.write_text(json.dumps({"trainer": {}}))
         assert main(["train", "--config", str(path)]) == 2
         assert "trainer" in capsys.readouterr().err
+
+    def test_train_string_epochs(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"train": {"epochs": "5"}}))
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "train.epochs must be int" in err and "Traceback" not in err
+
+    def test_train_bool_batch_size(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"train": {"batch_size": True}}))
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "train.batch_size must be int" in err and "Traceback" not in err
 
 
 class TestAblate:

@@ -10,9 +10,22 @@ from motionloc.numcore import ShapeMismatchError
 CFG = GraphConfig()
 
 
+def _edge_set(mask):
+    """The (i, j) pairs a boolean edge mask holds."""
+    return {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))}
+
+
+def _mask(T, pairs):
+    """T x T boolean edge mask holding exactly `pairs`."""
+    mask = np.zeros((T, T), dtype=bool)
+    for i, j in pairs:
+        mask[i, j] = True
+    return mask
+
+
 def test_positional_edge_membership_t20():
     motion = np.zeros((20, 4))
-    edges = mg.build_positional_edges(motion, CFG)
+    edges = _edge_set(mg.build_positional_edges(motion, CFG))
     assert (3, 4) in edges          # 1/20 = 0.05 < 0.1
     assert (3, 6) not in edges      # 3/20 = 0.15
     non_self = {(i, j) for i, j in edges if i != j}
@@ -23,7 +36,8 @@ def test_positional_edge_membership_t20():
 
 def test_positional_without_self_edges():
     motion = np.zeros((20, 4))
-    edges = mg.build_positional_edges(motion, GraphConfig(include_self=False))
+    edges = _edge_set(mg.build_positional_edges(motion,
+                                                GraphConfig(include_self=False)))
     assert all(i != j for i, j in edges)
     assert len(edges) == 38
 
@@ -41,25 +55,25 @@ def test_semantic_edges_hand_cases():
     I = np.eye(d)
     # identical vectors far apart: cosine 1 > 0.6
     m = _planted(T, d, {0: [1, 0, 0], 30: [1, 0, 0]})
-    edges = mg.build_semantic_edges(m, I, I, CFG)
+    edges = _edge_set(mg.build_semantic_edges(m, I, I, CFG))
     assert (0, 30) in edges and (30, 0) in edges
     # orthogonal: cosine 0
     m = _planted(T, d, {0: [1, 0, 0], 30: [0, 1, 0]})
-    assert (0, 30) not in mg.build_semantic_edges(m, I, I, CFG)
+    assert (0, 30) not in _edge_set(mg.build_semantic_edges(m, I, I, CFG))
     # 45 degrees: cosine 1/sqrt(2) = 0.7071 > 0.6
     m = _planted(T, d, {0: [1, 0, 0], 30: [1, 1, 0]})
-    edges = mg.build_semantic_edges(m, I, I, CFG)
+    edges = _edge_set(mg.build_semantic_edges(m, I, I, CFG))
     assert (0, 30) in edges
     # near pair never semantic regardless of similarity
     m = _planted(T, d, {0: [1, 0, 0], 2: [1, 0, 0]})
-    assert (0, 2) not in mg.build_semantic_edges(m, I, I, CFG)
+    assert (0, 2) not in _edge_set(mg.build_semantic_edges(m, I, I, CFG))
 
 
 def test_semantic_zero_norm_projection_is_no_edge():
     T, d = 40, 3
     m = _planted(T, d, {0: [1, 0, 0], 30: [1, 0, 0]})
     W1 = np.zeros((d, d))  # projects everything to zero
-    edges = mg.build_semantic_edges(m, W1, np.eye(d), CFG)
+    edges = _edge_set(mg.build_semantic_edges(m, W1, np.eye(d), CFG))
     assert edges == set()
 
 
@@ -68,7 +82,7 @@ def test_semantic_symmetrized_with_asymmetric_projections():
     m = rng.standard_normal((50, 6))
     W1 = rng.standard_normal((6, 6))
     W2 = rng.standard_normal((6, 6))
-    edges = mg.build_semantic_edges(m, W1, W2, GraphConfig(gamma=0.2))
+    edges = _edge_set(mg.build_semantic_edges(m, W1, W2, GraphConfig(gamma=0.2)))
     assert edges  # nonempty at this loose threshold
     assert all((j, i) in edges for i, j in edges)
 
@@ -76,7 +90,7 @@ def test_semantic_symmetrized_with_asymmetric_projections():
 def test_adjacency_values_and_zero_pattern():
     m = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     cfg = GraphConfig(row_normalize=False)
-    G = mg.build_adjacency(m, {(0, 1), (1, 0)}, cfg)
+    G = mg.build_adjacency(m, _mask(3, {(0, 1), (1, 0)}), cfg)
     assert G[0, 1] == pytest.approx(1.0)
     assert G[1, 0] == pytest.approx(1.0)
     assert G[0, 2] == 0.0 and G[2, 2] == 0.0
@@ -85,7 +99,7 @@ def test_adjacency_values_and_zero_pattern():
 def test_adjacency_row_normalization():
     m = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     cfg = GraphConfig(row_normalize=True)
-    G = mg.build_adjacency(m, {(0, 0), (0, 1)}, cfg)
+    G = mg.build_adjacency(m, _mask(3, {(0, 0), (0, 1)}), cfg)
     np.testing.assert_allclose(G[0], [0.5, 0.5, 0.0])
     # rows without edges stay zero
     np.testing.assert_array_equal(G[2], 0.0)
@@ -94,7 +108,7 @@ def test_adjacency_row_normalization():
 def test_adjacency_zero_norm_feature_row():
     m = np.array([[0.0, 0.0], [1.0, 0.0]])
     cfg = GraphConfig(row_normalize=False)
-    G = mg.build_adjacency(m, {(0, 1), (1, 0), (0, 0)}, cfg)
+    G = mg.build_adjacency(m, _mask(2, {(0, 1), (1, 0), (0, 0)}), cfg)
     np.testing.assert_array_equal(G[0], 0.0)
 
 
@@ -146,15 +160,16 @@ def test_graph_invariants_random_matrices():
         W1 = np.eye(d) + 0.05 * rng.standard_normal((d, d))
         W2 = np.eye(d) + 0.05 * rng.standard_normal((d, d))
         g = mg.build_graph(m, W1, W2, cfg)
-        assert not (g.pos_edges & g.smt_edges)
-        for es in (g.pos_edges, g.smt_edges):
+        pos, smt = _edge_set(g.pos_edges), _edge_set(g.smt_edges)
+        assert not (pos & smt)
+        for es in (pos, smt):
             assert all((j, i) in es for i, j in es)
-        union = g.pos_edges | g.smt_edges
-        nz = {(int(i), int(j)) for i, j in zip(*np.nonzero(g.adjacency))}
+        union = pos | smt
+        nz = _edge_set(g.adjacency)
         assert nz <= union  # zero exactly off the edge set
         assert np.all(np.abs(g.adjacency) <= 1.0 + 1e-12)
         bound = T * (2 * math.ceil(theta * T) - 1)
-        assert len(g.pos_edges) <= bound
+        assert len(pos) <= bound
 
 
 def test_threshold_monotonicity():
@@ -163,16 +178,16 @@ def test_threshold_monotonicity():
     I = np.eye(5)
     # gamma near 1 empties the semantic set
     g = mg.build_graph(m, I, I, GraphConfig(gamma=0.999))
-    assert g.smt_edges == frozenset()
+    assert _edge_set(g.smt_edges) == frozenset()
     # theta_pos near 1 makes the positional graph complete and starves semantic
     g = mg.build_graph(m, I, I, GraphConfig(theta_pos=0.999, gamma=-0.5))
-    assert len(g.pos_edges) == 30 * 30
-    assert g.smt_edges == frozenset()
+    assert len(_edge_set(g.pos_edges)) == 30 * 30
+    assert _edge_set(g.smt_edges) == frozenset()
     # growing gamma shrinks the semantic set monotonically
     sizes = []
     for gamma in (0.0, 0.3, 0.6, 0.9):
         g = mg.build_graph(m, I, I, GraphConfig(gamma=gamma))
-        sizes.append(len(g.smt_edges))
+        sizes.append(len(_edge_set(g.smt_edges)))
     assert sizes == sorted(sizes, reverse=True)
 
 
@@ -183,7 +198,8 @@ def test_scale_invariance():
     W2 = np.eye(6) + 0.05 * rng.standard_normal((6, 6))
     a = mg.build_graph(m, W1, W2, CFG)
     b = mg.build_graph(3.7 * m, W1, W2, CFG)
-    assert a.pos_edges == b.pos_edges and a.smt_edges == b.smt_edges
+    assert _edge_set(a.pos_edges) == _edge_set(b.pos_edges)
+    assert _edge_set(a.smt_edges) == _edge_set(b.smt_edges)
     np.testing.assert_allclose(a.adjacency, b.adjacency, atol=1e-12)
     # dense normalization also cancels the scale
     da = mg.build_dense_adjacency(m, W1, W2)
@@ -196,8 +212,9 @@ def test_mode_dispatch():
     m = rng.standard_normal((12, 4))
     W1, W2 = np.eye(4), np.eye(4)
     g = mg.build_graph(m, W1, W2, GraphConfig(mode="mlp"))
-    np.testing.assert_array_equal(g.adjacency, np.eye(12))
-    assert g.pos_edges == frozenset() and g.smt_edges == frozenset()
+    assert g.T == 12 and g.adjacency is None  # mlp propagates over no graph
+    assert _edge_set(g.pos_edges) == frozenset()
+    assert _edge_set(g.smt_edges) == frozenset()
     g = mg.build_graph(m, W1, W2, GraphConfig(mode="dense"))
     assert g.adjacency.shape == (12, 12)
     assert np.count_nonzero(g.adjacency) == 144
@@ -210,9 +227,9 @@ def test_edge_ablation_switches():
     m = rng.standard_normal((30, 5))
     I = np.eye(5)
     g = mg.build_graph(m, I, I, GraphConfig(use_semantic=False))
-    assert g.smt_edges == frozenset() and g.pos_edges
+    assert _edge_set(g.smt_edges) == frozenset() and _edge_set(g.pos_edges)
     g = mg.build_graph(m, I, I, GraphConfig(use_positional=False, gamma=0.0))
-    assert g.pos_edges == frozenset() and g.smt_edges
+    assert _edge_set(g.pos_edges) == frozenset() and _edge_set(g.smt_edges)
 
 
 def test_mean_distance_diagnostic():

@@ -15,8 +15,15 @@ def _graph_for(motion, params, cfg=None):
     return build_graph(motion, params.W1, params.W2, cfg)
 
 
+def _graph_with(adjacency, T=None):
+    """A graph with no edges and the given adjacency (None: mlp mode)."""
+    T = len(adjacency) if T is None else T
+    empty = np.zeros((T, T), dtype=bool)
+    return MotionGraph(T, empty, empty, adjacency)
+
+
 def _identity_graph(T):
-    return MotionGraph(T, frozenset(), frozenset(), np.eye(T))
+    return _graph_with(np.eye(T))
 
 
 def test_zero_inputs_zero_bias_gives_zero_tcas():
@@ -55,6 +62,10 @@ def test_stream_shape_mismatch_rejected():
     params = net.init_params(d=4, C=3, mcfg=MCFG, seed=0)
     with pytest.raises(ShapeMismatchError):
         net.base_forward(np.zeros((8, 4)), np.zeros((8, 5)), params)
+    # the guidance branch checks snippet counts against the graph's T
+    for graph in (_identity_graph(7), _graph_with(None, T=7)):
+        with pytest.raises(ShapeMismatchError):
+            net.guidance_forward(np.zeros((8, 4)), graph, params, MCFG)
 
 
 def test_motionness_zero_weights_is_half():
@@ -81,12 +92,12 @@ def test_motionness_bounds_random():
 
 
 def test_mlp_equals_sparse_under_identity_adjacency():
+    """Identity adjacency propagates like no adjacency (mlp mode)."""
     rng = np.random.default_rng(6)
     params = net.init_params(d=5, C=4, mcfg=MCFG, seed=7)
     feats = rng.standard_normal((9, 5))
-    g = _identity_graph(9)
-    a = net.guidance_forward(feats, g, params, MCFG, mode="sparse").value
-    b = net.guidance_forward(feats, g, params, MCFG, mode="mlp").value
+    a = net.guidance_forward(feats, _identity_graph(9), params, MCFG).value
+    b = net.guidance_forward(feats, _graph_with(None, T=9), params, MCFG).value
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -97,8 +108,7 @@ def test_single_gcn_layer_swap_adjacency():
     params = net.init_params(d=3, C=2, mcfg=mcfg, seed=8)
     params.gcn[0].value[:] = np.eye(3)
     feats = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    swap = MotionGraph(2, frozenset(), frozenset(),
-                       np.array([[0.0, 1.0], [1.0, 0.0]]))
+    swap = _graph_with(np.array([[0.0, 1.0], [1.0, 0.0]]))
     x0 = nc.constant(feats)
     G = nc.constant(swap.adjacency)
     out = (G @ x0) @ params.gcn[0]
@@ -163,7 +173,9 @@ def test_full_forward_deterministic_and_differentiable():
 
     def build_loss():
         out = net.full_forward(video, g, params, mcfg)
-        return nc.mean_all(out.tcas) + nc.mean_all(out.motionness)
+        return (nc.scale(nc.sum_all(out.tcas), 1.0 / out.tcas.value.size)
+                + nc.scale(nc.sum_all(out.motionness),
+                           1.0 / out.motionness.value.size))
 
     err = nc.grad_check(build_loss, params.trainable(), h=1e-5)
     assert err < 1e-4
@@ -175,7 +187,7 @@ def test_gcn_relu_flag_linearizes_stack():
     params = net.init_params(d=3, C=2, mcfg=mcfg, seed=15)
     feats = np.random.default_rng(16).standard_normal((6, 3))
     G = np.random.default_rng(17).standard_normal((6, 6))
-    graph = MotionGraph(6, frozenset(), frozenset(), G)
+    graph = _graph_with(G)
     x = nc.constant(feats)
     for W in params.gcn:
         x = (nc.constant(G) @ x) @ W

@@ -57,6 +57,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="epochs"):
             config_from_dict({"train": {"epochs": 0}})
 
+    def test_value_types_checked(self):
+        # an int stands for a float, lists of numbers fill tuple fields
+        cfg = config_from_dict({"train": {"lr": 1}, "eval_iou": [0.5, 1],
+                                "inference": {"theta_a_list": [0, 0.5]}})
+        assert cfg.train.lr == 1 and cfg.eval_iou == (0.5, 1)
+        assert cfg.inference.theta_a_list == (0, 0.5)
+        for bad in ({"train": {"epochs": 2.0}}, {"train": {"batch_size": True}},
+                    {"graph": {"row_normalize": 1}}, {"graph": {"mode": 3}},
+                    {"corpus": {"noise_sigma": "0.1"}}, {"eval_iou": 0.5},
+                    {"eval_iou": [0.5, False]}, {"out_dir": 7}):
+            with pytest.raises(ConfigError, match="must be"):
+                config_from_dict(bad)
+
     def test_file_round_trip(self, tmp_path):
         cfg = tiny_cfg(out_dir="runs/x")
         path = tmp_path / "cfg.json"
