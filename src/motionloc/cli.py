@@ -8,6 +8,7 @@ diverged training).
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -69,12 +70,34 @@ def _cmd_train(args):
           f"final loss {curve[-1][1]:.4f}, artifacts in {out}")
 
 
+def _checkpoint_mismatch(trained, cfg):
+    """Keys that fix what a checkpoint's weights mean, where cfg differs."""
+    keys = [(section, f.name) for section in ("model", "graph")
+            for f in dataclasses.fields(getattr(trained, section))]
+    keys += [("corpus", "d"), ("corpus", "C")]
+    return [f"{section}.{name}" for section, name in keys
+            if getattr(getattr(trained, section), name)
+            != getattr(getattr(cfg, section), name)]
+
+
 def _cmd_eval(args):
     cfg = _load_experiment(args)
     ckpt = Path(args.checkpoint) if args.checkpoint else \
         resolve_out(cfg.out_dir) / "checkpoint"
     if not (Path(ckpt) / "manifest.json").exists():
         raise FileNotFoundError(f"no checkpoint at {ckpt}")
+    # the config train wrote next to the checkpoint is the base; --config
+    # may change how the model is evaluated, not the model it describes
+    trained_path = Path(ckpt).parent / "config.json"
+    if not trained_path.exists():
+        raise FileNotFoundError(f"no config.json next to checkpoint {ckpt}")
+    trained = load_config(trained_path)
+    cfg = load_config(args.config, base=trained) if args.config else trained
+    changed = _checkpoint_mismatch(trained, cfg)
+    if changed:
+        raise ConfigError(
+            f"--config changes what checkpoint {ckpt} was trained with: "
+            f"{', '.join(changed)}")
     params = load_params(ckpt)
     out = args.out if args.out is not None else cfg.out_dir
     report = evaluate_params(cfg, params, out=out)

@@ -41,14 +41,6 @@ class Conv3:
     taps: list
     bias: DiffNode
 
-    @property
-    def in_dim(self):
-        return self.taps[0].rows
-
-    @property
-    def out_dim(self):
-        return self.taps[0].cols
-
 
 @dataclass
 class ModelParams:
@@ -96,48 +88,43 @@ def init_params(d, C, mcfg, seed):
     return ModelParams(embed=embed, cls=cls, gcn=gcn, mot=mot, W1=W1, W2=W2)
 
 
-def temporal_conv3(x, conv):
-    """y[t] = x[t-1] K_neg + x[t] K_0 + x[t+1] K_pos + b, zero padded."""
-    if x.cols != conv.in_dim:
-        raise ShapeMismatchError(
-            f"conv expects width {conv.in_dim}, got {x.cols}")
-    k_neg, k_0, k_pos = conv.taps
-    y = nc.shift_rows(x, -1) @ k_neg + x @ k_0 + nc.shift_rows(x, 1) @ k_pos
-    return y + conv.bias
-
-
 def base_forward(appearance, motion, params):
-    """TCAS: embed the fused streams, then score classes, ReLU both stages."""
-    appearance = as_matrix(appearance, "appearance")
-    motion = as_matrix(motion, "motion")
+    """TCAS: embed the fused streams, then score classes, ReLU both stages.
+
+    The streams are T x d for one video or B x T x d for a batch.
+    """
+    appearance = as_matrix(appearance, "appearance", batched=True)
+    motion = as_matrix(motion, "motion", batched=True)
     if appearance.shape != motion.shape:
         raise ShapeMismatchError(
             f"streams disagree: {appearance.shape} vs {motion.shape}")
-    if appearance.shape[0] < 1:
+    if appearance.shape[-2] < 1:
         raise ShapeMismatchError("need at least one snippet")
-    fused = constant(np.hstack([appearance, motion]))
-    embedded = nc.relu(temporal_conv3(fused, params.embed))
-    return nc.relu(temporal_conv3(embedded, params.cls))
+    fused = constant(np.concatenate([appearance, motion], axis=-1))
+    embedded = nc.relu(nc.conv3(fused, params.embed.taps, params.embed.bias))
+    return nc.relu(nc.conv3(embedded, params.cls.taps, params.cls.bias))
 
 
-def guidance_forward(features, graph, params, mcfg):
-    """Motionness sequence (T x 1) from K graph-conv rounds plus shortcut.
+def guidance_forward(features, adjacency, params, mcfg):
+    """Motionness (B x T x 1) from K graph-conv rounds plus shortcut.
 
-    Each round is X^k = G X^{k-1} W^k with the graph's adjacency G; a
-    graph without one (mlp mode) drops G entirely (X W^k per round).
+    features is B x T x d, with one entry of adjacency per video. Each
+    round is X^k = G X^{k-1} W^k with the video's own adjacency G; None
+    entries (mlp mode) drop G entirely (X W^k per round).
     """
-    x0 = constant(as_matrix(features, "guidance features"))
-    if graph.T != x0.rows:
+    x0 = constant(as_matrix(features, "guidance features", batched=True))
+    if x0.value.ndim != 3 or len(adjacency) != x0.shape[0]:
         raise ShapeMismatchError(
-            f"graph has {graph.T} snippets, features have {x0.rows}")
-    G = None if graph.adjacency is None else constant(graph.adjacency)
+            f"need B x T x d features and B graphs, got {x0.shape} and "
+            f"{len(adjacency)}")
+    propagated = adjacency[0] is not None
     x = x0
     for W in params.gcn:
-        x = (x if G is None else G @ x) @ W
+        x = (nc.propagate(adjacency, x) if propagated else x) @ W
         if mcfg.gcn_relu:
             x = nc.relu(x)
     x = nc.concat_cols(x, x0)
-    return nc.clip(nc.sigmoid(temporal_conv3(x, params.mot)),
+    return nc.clip(nc.sigmoid(nc.conv3(x, params.mot.taps, params.mot.bias)),
                    MOTIONNESS_EPS, 1.0 - MOTIONNESS_EPS)
 
 
@@ -152,14 +139,16 @@ def guidance_features(video, mcfg):
 
 @dataclass
 class ForwardOutput:
-    tcas: DiffNode        # T x C, nonnegative
-    motionness: DiffNode  # T x 1, in (eps, 1-eps)
+    tcas: DiffNode        # B x T x C, nonnegative
+    motionness: DiffNode  # B x T x 1, in (eps, 1-eps)
 
 
-def full_forward(video, graph, params, mcfg):
-    tcas = base_forward(video.appearance, video.motion, params)
-    feats = guidance_features(video, mcfg)
-    motionness = guidance_forward(feats, graph, params, mcfg)
+def full_forward(videos, adjacency, params, mcfg):
+    """Both branches over equal-length videos, each with its graph's adjacency."""
+    tcas = base_forward(np.stack([v.appearance for v in videos]),
+                        np.stack([v.motion for v in videos]), params)
+    feats = np.stack([guidance_features(v, mcfg) for v in videos])
+    motionness = guidance_forward(feats, adjacency, params, mcfg)
     return ForwardOutput(tcas=tcas, motionness=motionness)
 
 

@@ -34,9 +34,9 @@ class LossConfig:
 
 @dataclass
 class AggregationResult:
-    video_scores: DiffNode   # 1 x C top-k means
-    probs: DiffNode          # 1 x C softmax of the scores
-    topk_indices: list       # per class, the k selected snippet indices
+    video_scores: DiffNode   # 1 x C top-k means (B x 1 x C for a batch)
+    probs: DiffNode          # softmax of the scores, same shape
+    topk_indices: np.ndarray # C x k selected snippets (B x C x k)
     k: int
 
 
@@ -50,14 +50,24 @@ def aggregate_topk(tcas, r):
 
 
 def normalized_label(label):
-    """Multi-hot label scaled to sum 1 (uniform over its positives)."""
+    """Multi-hot labels scaled to sum 1 (uniform over their positives).
+
+    One length-C label gives 1 x C; a B x C stack gives one row per video.
+    """
     y = as_matrix(label, "label")
-    if y.shape[0] != 1:
-        y = y.reshape(1, -1)
-    total = y.sum()
-    if total <= 0:
+    totals = y.sum(axis=1, keepdims=True)
+    if np.any(totals <= 0):
         raise DomainError("label needs at least one positive class")
-    return y / total
+    return y / totals
+
+
+def _label_like(label, agg):
+    """Normalized labels shaped like the aggregation's probabilities."""
+    yhat = normalized_label(label)
+    if yhat.size != agg.probs.value.size:
+        raise nc.ShapeMismatchError(
+            f"labels {yhat.shape} do not fit probabilities {agg.probs.shape}")
+    return yhat.reshape(agg.probs.shape)
 
 
 def _log_probs(agg):
@@ -68,7 +78,7 @@ def _log_probs(agg):
 
 def xe_loss(agg, label):
     """L = -sum_c yhat_c log p_c with yhat the normalized label."""
-    yhat = constant(normalized_label(label))
+    yhat = constant(_label_like(label, agg))
     return nc.scale(nc.sum_all(yhat * _log_probs(agg)), -1.0)
 
 
@@ -76,17 +86,15 @@ def video_motionness(motionness, topk_indices):
     """Per-class mean motionness over the class's top-k snippet set.
 
     Built as a matmul with a constant averaging matrix so the gradient
-    lands as 1/k on the selected snippets and 0 elsewhere.
+    lands as 1/k on the selected snippets and 0 elsewhere. The indices
+    are C x k (B x C x k for a batch), as aggregate_topk returns them.
     """
-    T = motionness.rows
-    C = len(topk_indices)
-    sel = np.zeros((T, C))
-    for c, idxs in enumerate(topk_indices):
-        if not idxs:
-            raise DomainError(f"class {c} has an empty selection")
-        w = 1.0 / len(idxs)
-        for t in idxs:
-            sel[t, c] += w
+    idx = np.asarray(topk_indices)
+    if idx.shape[-1] == 0:
+        raise DomainError("empty top-k selection")
+    sel = np.zeros(motionness.shape[:-1] + (idx.shape[-2],))
+    np.put_along_axis(sel, np.swapaxes(idx, -1, -2), 1.0 / idx.shape[-1],
+                      axis=-2)
     return nc.transpose(motionness) @ constant(sel)
 
 
@@ -97,10 +105,9 @@ def motion_guided_loss(agg, mu, label, cfg):
     cfg.regularizer_mask.
     """
     cfg.validate()
-    yhat = normalized_label(label)
-    C = yhat.shape[1]
-    if mu.shape != (1, C):
-        raise nc.ShapeMismatchError(f"mu must be 1x{C}, got {mu.shape}")
+    yhat = _label_like(label, agg)
+    if mu.shape != yhat.shape:
+        raise nc.ShapeMismatchError(f"mu must be {yhat.shape}, got {mu.shape}")
     mu2 = nc.square(mu)
     logp = _log_probs(agg)
     main = nc.scale(nc.sum_all(constant(yhat) * mu2 * logp), -1.0)
@@ -109,18 +116,21 @@ def motion_guided_loss(agg, mu, label, cfg):
     if cfg.regularizer_mask == "positive_only":
         mask = (yhat > 0).astype(np.float64)
     else:
-        mask = np.ones((1, C))
+        mask = np.ones_like(yhat)
     reg = nc.scale(nc.sum_all(constant(mask) * nc.log(mu2)), -1.0)
     return main + reg
 
 
-def per_video_loss(out, label, cfg):
-    """Dispatch on cfg.loss_kind given a ForwardOutput."""
+def per_video_loss(out, labels, cfg):
+    """Dispatch on cfg.loss_kind given a ForwardOutput and one label per video.
+
+    Returns (loss, agg); the loss is B x 1 x 1, one value per video.
+    """
     agg = aggregate_topk(out.tcas, cfg.r)
     if cfg.loss_kind == "xe":
-        return xe_loss(agg, label), agg
+        return xe_loss(agg, labels), agg
     mu = video_motionness(out.motionness, agg.topk_indices)
-    return motion_guided_loss(agg, mu, label, cfg), agg
+    return motion_guided_loss(agg, mu, labels, cfg), agg
 
 
 def surface_term(p, mu, label=1.0):

@@ -2,7 +2,8 @@
 
 A full experiment is one JSON-serializable config tree: corpus spec,
 graph/model/loss settings, optimizer schedule, inference thresholds.
-Training iterates shuffled mini-batches, accumulates per-video gradients,
+Training iterates shuffled mini-batches, runs each on as few batched
+tapes as TAPE_SNIPPETS allows, accumulates gradients in video order,
 and takes one Adam step per batch. The ablation driver reruns the
 pipeline over named config deltas and writes one CSV per table, caching
 cells whose resolved configs coincide.
@@ -10,6 +11,7 @@ cells whose resolved configs coincide.
 
 import dataclasses
 import json
+import math
 import os
 import typing
 from collections import defaultdict
@@ -28,6 +30,13 @@ from .network import (ModelConfig, full_forward, guidance_features,
 from .objective import LossConfig, per_video_loss
 
 OUT_ROOT_ENV = "MOTIONLOC_OUT_ROOT"
+
+# Most snippets (videos x T) one training tape covers; tape memory grows
+# with it. perfbench peak RSS on a 2-vCPU VM, one video per tape -> 512
+# snippets -> one tape per 16-video batch: train-short (T=64) 48.3 ->
+# 50.4 -> 52.8 MB, eval-long (its set-up trains at T=256) 72.9 -> 73.9
+# -> 88.3 MB. At 512, train-short kept 86% of the whole-batch speed.
+TAPE_SNIPPETS = 512
 
 
 class ConfigError(ValueError):
@@ -169,17 +178,32 @@ def _batches(order, size):
         yield order[i:i + size]
 
 
+def _tapes(videos, batch):
+    """Split a batch, in order, into runs of equal-length videos that
+    together hold at most TAPE_SNIPPETS snippets (or one longer video)."""
+    run = []
+    for i in map(int, batch):
+        T = videos[i].T
+        if run and (T != videos[run[0]].T or (len(run) + 1) * T > TAPE_SNIPPETS):
+            yield run
+            run = []
+        run.append(i)
+    if run:
+        yield run
+
+
 def run_training(cfg, train_videos, log=None):
     """Optimize fresh parameters on the given videos; returns (params, curve).
 
     The curve holds one (epoch, mean per-video loss) pair per epoch.
-    Graphs are built once per video up front; gradients accumulate over
-    each shuffled mini-batch before a single Adam step.
+    Each video's adjacency is built once up front; gradients accumulate
+    over each shuffled mini-batch, tape by tape in video order, before a
+    single Adam step. The result is bit for bit that of one tape per video.
     """
     mcfg = cfg.model
     params = init_params(cfg.corpus.d, cfg.corpus.C, mcfg, cfg.train.seed)
-    graphs = [build_graph(guidance_features(v, mcfg), params.W1, params.W2,
-                          cfg.graph) for v in train_videos]
+    adjacency = [build_graph(guidance_features(v, mcfg), params.W1, params.W2,
+                             cfg.graph).adjacency for v in train_videos]
     trainable = params.trainable()
     state = nc.adam_init(trainable, lr=cfg.train.lr)
     shuffle = nc.split_rng(cfg.train.seed, 100)
@@ -189,16 +213,19 @@ def run_training(cfg, train_videos, log=None):
         epoch_losses = []
         for batch in _batches(order, cfg.train.batch_size):
             nc.zero_grads(trainable)
-            for i in batch:
-                video = train_videos[int(i)]
-                out = full_forward(video, graphs[int(i)], params, mcfg)
-                loss, _ = per_video_loss(out, video.label, cfg.loss)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise TrainingError(
-                        f"non-finite loss at epoch {epoch} on video {video.id}")
+            for tape in _tapes(train_videos, batch):
+                videos = [train_videos[i] for i in tape]
+                out = full_forward(videos, [adjacency[i] for i in tape],
+                                   params, mcfg)
+                loss, _ = per_video_loss(out, np.stack([v.label for v in videos]),
+                                         cfg.loss)
+                values = loss.value.reshape(-1).tolist()
+                for video, value in zip(videos, values):
+                    if not math.isfinite(value):
+                        raise TrainingError(
+                            f"non-finite loss at epoch {epoch} on video {video.id}")
                 nc.backward(loss)
-                epoch_losses.append(value)
+                epoch_losses.extend(values)
             grads = [p.grad / len(batch) for p in trainable]
             nc.adam_step(trainable, grads, state)
         curve.append((epoch, float(np.mean(epoch_losses))))
@@ -217,10 +244,10 @@ def run_evaluation(cfg, params, videos):
     for video in videos:
         graph = build_graph(guidance_features(video, mcfg), params.W1,
                             params.W2, cfg.graph)
-        out = full_forward(video, graph, params, mcfg)
-        for prop in localize_video(out.tcas.value, cfg.loss.r, cfg.inference):
+        out = full_forward([video], [graph.adjacency], params, mcfg)
+        for prop in localize_video(out.tcas.value[0], cfg.loss.r, cfg.inference):
             dets_by_class[prop.cls].append((video.id, prop))
-        kls.append(kl_guidance(out.motionness.value, video.gt_mask()))
+        kls.append(kl_guidance(out.motionness.value[0], video.gt_mask()))
         for s, e, c in video.gt_intervals:
             gt_by_class[c][video.id].append((s, e))
     gt = {c: dict(v) for c, v in gt_by_class.items()}

@@ -2,8 +2,9 @@
 
 Run `pytest -s tests/test_acceptance.py` to see the verdict lines as they
 complete. Criteria 6 and 7 each train a five-cell ablation table on the
-default corpus and take a few minutes; everything else finishes in
-seconds. Criteria:
+default corpus and take a few minutes, and criterion 1 takes tens of
+seconds; these three carry the `slow` marker, and everything else
+finishes in seconds. Criteria:
 
 1. analytic gradients of the full model match central differences
 2. the single-class loss surface is monotone with the expected corners
@@ -57,6 +58,7 @@ def _verdict(num, label, ok, detail=""):
 # 1. gradient correctness on random tiny instances
 
 
+@pytest.mark.slow
 def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(101)
     modes = ("sparse", "dense", "mlp")
@@ -68,26 +70,30 @@ def test_criterion_1_gradient_correctness():
         T = int(rng.integers(2, 9))
         C = int(rng.integers(2, 5))
         d = int(rng.integers(2, 7))
-        label = np.zeros(C)
-        label[rng.choice(C, size=int(rng.integers(1, C + 1)),
-                         replace=False)] = 1.0
-        video = SyntheticVideo(
-            id=f"tiny{i}", T=T,
-            appearance=rng.standard_normal((T, d)),
-            motion=rng.standard_normal((T, d)),
-            gt_intervals=[(0, 0, 0)], label=label, confounder_idx=[])
+        videos = []
+        for j in range(2):  # one batched tape over two videos
+            label = np.zeros(C)
+            label[rng.choice(C, size=int(rng.integers(1, C + 1)),
+                             replace=False)] = 1.0
+            videos.append(SyntheticVideo(
+                id=f"tiny{i}.{j}", T=T,
+                appearance=rng.standard_normal((T, d)),
+                motion=rng.standard_normal((T, d)),
+                gt_intervals=[(0, 0, 0)], label=label, confounder_idx=[]))
+        labels = np.stack([v.label for v in videos])
         mode = modes[i % 3]
         mcfg = net.ModelConfig()
         params = net.init_params(d, C, mcfg, seed=1000 + i)
         gcfg = GraphConfig(theta_pos=thetas[i % 3], gamma=gammas[i % 3],
                            mode=mode)
-        graph = build_graph(video.motion, params.W1, params.W2, gcfg)
+        adjacency = [build_graph(v.motion, params.W1, params.W2, gcfg).adjacency
+                     for v in videos]
         for kind in ("xe", "motion_guided"):
             cfg = LossConfig(loss_kind=kind)
 
             def build():
-                out = net.full_forward(video, graph, params, mcfg)
-                loss, _ = obj.per_video_loss(out, video.label, cfg)
+                out = net.full_forward(videos, adjacency, params, mcfg)
+                loss, _ = obj.per_video_loss(out, labels, cfg)
                 return loss
 
             worst = max(worst, nc.grad_check(build, params.trainable(),
@@ -95,7 +101,7 @@ def test_criterion_1_gradient_correctness():
     elapsed = time.perf_counter() - t0
     _verdict(1, "analytic gradients match central differences",
              worst < 1e-4 and elapsed < 60.0,
-             f"50 instances, both losses, max rel err {worst:.2e}, "
+             f"50 two-video batches, both losses, max rel err {worst:.2e}, "
              f"{elapsed:.1f}s")
 
 
@@ -354,6 +360,7 @@ def ablation_results(tmp_path_factory):
     return timed
 
 
+@pytest.mark.slow
 def test_criterion_6_guided_loss_ordering(ablation_results):
     rows, elapsed = ablation_results["loss"]
     mg = rows["motion_guided"]
@@ -371,6 +378,7 @@ def test_criterion_6_guided_loss_ordering(ablation_results):
              f"{app['kl']:.3f}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_graph_mode_ordering(ablation_results):
     rows, elapsed = ablation_results["graph"]
     sp = rows["sparse_all_edges"]["map_0.5"]

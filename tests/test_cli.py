@@ -73,6 +73,38 @@ class TestTrainEval:
         assert "mAP" in out
         assert (tmp_path / "run" / "report.json").exists()
 
+    def test_eval_uses_checkpoint_config(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        cfg = write_cfg(tmp_path, {"out_dir": str(run),
+                                   "graph": {"mode": "dense"}})
+        assert main(["train", "--config", cfg]) == 0
+        capsys.readouterr()
+        # no --config: the dense graph comes from the checkpoint's config.json
+        assert main(["eval", "--checkpoint", str(run / "checkpoint"),
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main(["eval", "--config", cfg, "--checkpoint",
+                     str(run / "checkpoint"), "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "report.json").read_bytes() == \
+            (tmp_path / "b" / "report.json").read_bytes()
+
+    def test_eval_refuses_config_that_changes_the_model(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--config",
+                     write_cfg(tmp_path, {"out_dir": str(run)})]) == 0
+        capsys.readouterr()
+        for change, key in (({"graph": {"mode": "dense"}}, "graph.mode"),
+                            ({"model": {"guidance_stream": "both"}},
+                             "model.guidance_stream"),
+                            ({"corpus": {"d": 8}}, "corpus.d")):
+            cfg = write_cfg(tmp_path, {"out_dir": str(run), **change})
+            assert main(["eval", "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert key in err and "Traceback" not in err, err
+        # settings that only change the evaluation are taken
+        cfg = write_cfg(tmp_path, {"out_dir": str(run),
+                                   "inference": {"theta_c": 0.3}})
+        assert main(["eval", "--config", cfg]) == 0
+
     def test_eval_missing_checkpoint(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"out_dir": str(tmp_path / "nothing")})
         assert main(["eval", "--config", cfg]) == 2

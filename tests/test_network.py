@@ -3,27 +3,23 @@ import pytest
 
 from motionloc import network as net
 from motionloc import numcore as nc
-from motionloc.motiongraph import GraphConfig, MotionGraph, build_graph
+from motionloc.motiongraph import GraphConfig, build_graph
 from motionloc.network import ModelConfig
 from motionloc.numcore import ShapeMismatchError
 
 MCFG = ModelConfig()
 
 
-def _graph_for(motion, params, cfg=None):
+def _adjacency_for(motion, params, cfg=None):
     cfg = cfg or GraphConfig()
-    return build_graph(motion, params.W1, params.W2, cfg)
+    return build_graph(motion, params.W1, params.W2, cfg).adjacency
 
 
-def _graph_with(adjacency, T=None):
-    """A graph with no edges and the given adjacency (None: mlp mode)."""
-    T = len(adjacency) if T is None else T
-    empty = np.zeros((T, T), dtype=bool)
-    return MotionGraph(T, empty, empty, adjacency)
-
-
-def _identity_graph(T):
-    return _graph_with(np.eye(T))
+def _motionness(feats, adjacency, params, mcfg=MCFG):
+    """guidance_forward on one video (a batch of one): T x 1 motionness."""
+    mu = net.guidance_forward(np.asarray(feats)[None], [adjacency], params, mcfg)
+    assert mu.shape == (1, len(feats), 1)
+    return mu.value[0]
 
 
 def test_zero_inputs_zero_bias_gives_zero_tcas():
@@ -62,10 +58,12 @@ def test_stream_shape_mismatch_rejected():
     params = net.init_params(d=4, C=3, mcfg=MCFG, seed=0)
     with pytest.raises(ShapeMismatchError):
         net.base_forward(np.zeros((8, 4)), np.zeros((8, 5)), params)
-    # the guidance branch checks snippet counts against the graph's T
-    for graph in (_identity_graph(7), _graph_with(None, T=7)):
-        with pytest.raises(ShapeMismatchError):
-            net.guidance_forward(np.zeros((8, 4)), graph, params, MCFG)
+    # the guidance branch checks snippet counts against each adjacency
+    with pytest.raises(ShapeMismatchError):
+        net.guidance_forward(np.zeros((1, 8, 4)), [np.eye(7)], params, MCFG)
+    # and takes one adjacency per video
+    with pytest.raises(ShapeMismatchError):
+        net.guidance_forward(np.zeros((2, 8, 4)), [np.eye(8)], params, MCFG)
 
 
 def test_motionness_zero_weights_is_half():
@@ -74,10 +72,8 @@ def test_motionness_zero_weights_is_half():
         tap.value[:] = 0.0
     for W in params.gcn:
         W.value[:] = np.eye(4)
-    mu = net.guidance_forward(np.ones((6, 4)), _identity_graph(6),
-                              params, MCFG)
-    np.testing.assert_allclose(mu.value, 0.5)
-    assert mu.shape == (6, 1)
+    mu = _motionness(np.ones((6, 4)), np.eye(6), params)
+    np.testing.assert_allclose(mu, 0.5)
 
 
 def test_motionness_bounds_random():
@@ -85,8 +81,7 @@ def test_motionness_bounds_random():
     params = net.init_params(d=5, C=4, mcfg=MCFG, seed=5)
     for _ in range(20):
         feats = 50.0 * rng.standard_normal((12, 5))
-        g = _graph_for(feats, params)
-        mu = net.guidance_forward(feats, g, params, MCFG).value
+        mu = _motionness(feats, _adjacency_for(feats, params), params)
         assert np.all(mu >= net.MOTIONNESS_EPS)
         assert np.all(mu <= 1.0 - net.MOTIONNESS_EPS)
 
@@ -96,8 +91,8 @@ def test_mlp_equals_sparse_under_identity_adjacency():
     rng = np.random.default_rng(6)
     params = net.init_params(d=5, C=4, mcfg=MCFG, seed=7)
     feats = rng.standard_normal((9, 5))
-    a = net.guidance_forward(feats, _identity_graph(9), params, MCFG).value
-    b = net.guidance_forward(feats, _graph_with(None, T=9), params, MCFG).value
+    a = _motionness(feats, np.eye(9), params)
+    b = _motionness(feats, None, params)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -108,11 +103,10 @@ def test_single_gcn_layer_swap_adjacency():
     params = net.init_params(d=3, C=2, mcfg=mcfg, seed=8)
     params.gcn[0].value[:] = np.eye(3)
     feats = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    swap = _graph_with(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    x0 = nc.constant(feats)
-    G = nc.constant(swap.adjacency)
-    out = (G @ x0) @ params.gcn[0]
-    np.testing.assert_allclose(out.value, feats[::-1])
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    x0 = nc.constant(feats[None])
+    out = nc.propagate([swap], x0) @ params.gcn[0]
+    np.testing.assert_allclose(out.value[0], feats[::-1])
 
 
 def test_permutation_equivariance_of_gcn_stack():
@@ -127,11 +121,11 @@ def test_permutation_equivariance_of_gcn_stack():
     P = np.eye(T)[perm]
 
     def pre_conv(feats, G):
-        x = nc.constant(feats)
+        x = nc.constant(feats[None])
         x0 = x
         for W in params.gcn:
-            x = nc.relu((nc.constant(G) @ x) @ W)
-        return nc.concat_cols(x, x0).value
+            x = nc.relu(nc.propagate([G], x) @ W)
+        return nc.concat_cols(x, x0).value[0]
 
     plain = pre_conv(feats, G)
     conjugated = pre_conv(P @ feats, P @ G @ P.T)
@@ -155,8 +149,7 @@ def test_guidance_stream_routing():
     mcfg = ModelConfig(guidance_stream="both")
     params = net.init_params(d=8, C=3, mcfg=mcfg, seed=12)
     g = build_graph(both, params.W1, params.W2, GraphConfig())
-    mu = net.guidance_forward(both, g, params, mcfg)
-    assert mu.shape == (64, 1)
+    assert _motionness(both, g.adjacency, params, mcfg).shape == (64, 1)
 
 
 def test_full_forward_deterministic_and_differentiable():
@@ -165,14 +158,14 @@ def test_full_forward_deterministic_and_differentiable():
     video = generate_corpus(spec)[0][0]
     mcfg = ModelConfig()
     params = net.init_params(d=5, C=3, mcfg=mcfg, seed=14)
-    g = _graph_for(video.motion, params)
-    out1 = net.full_forward(video, g, params, mcfg)
-    out2 = net.full_forward(video, g, params, mcfg)
+    g = [_adjacency_for(video.motion, params)]
+    out1 = net.full_forward([video], g, params, mcfg)
+    out2 = net.full_forward([video], g, params, mcfg)
     np.testing.assert_array_equal(out1.tcas.value, out2.tcas.value)
     np.testing.assert_array_equal(out1.motionness.value, out2.motionness.value)
 
     def build_loss():
-        out = net.full_forward(video, g, params, mcfg)
+        out = net.full_forward([video], g, params, mcfg)
         return (nc.scale(nc.sum_all(out.tcas), 1.0 / out.tcas.value.size)
                 + nc.scale(nc.sum_all(out.motionness),
                            1.0 / out.motionness.value.size))
@@ -187,15 +180,13 @@ def test_gcn_relu_flag_linearizes_stack():
     params = net.init_params(d=3, C=2, mcfg=mcfg, seed=15)
     feats = np.random.default_rng(16).standard_normal((6, 3))
     G = np.random.default_rng(17).standard_normal((6, 6))
-    graph = _graph_with(G)
-    x = nc.constant(feats)
+    x = nc.constant(feats[None])
     for W in params.gcn:
-        x = (nc.constant(G) @ x) @ W
-    manual = x.value
+        x = nc.propagate([G], x) @ W
+    manual = x.value[0]
     combined = G @ (G @ feats @ params.gcn[0].value) @ params.gcn[1].value
     np.testing.assert_allclose(manual, combined, atol=1e-10)
-    mu = net.guidance_forward(feats, graph, params, mcfg)
-    assert mu.shape == (6, 1)
+    assert _motionness(feats, G, params, mcfg).shape == (6, 1)
 
 
 def test_checkpoint_roundtrip(tmp_path):

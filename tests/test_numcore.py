@@ -77,7 +77,7 @@ def test_topk_mean_definition_and_gradient():
     v = nc.param(np.array([[0.1], [0.9], [0.4]]))
     out, idx = nc.topk_mean_columns(v, 2)
     assert out.item() == pytest.approx(0.65)
-    assert idx == [[1, 2]]
+    assert idx.tolist() == [[1, 2]]
     nc.backward(out)
     np.testing.assert_allclose(v.grad, [[0.0], [0.5], [0.5]])
 
@@ -101,6 +101,20 @@ def test_topk_mean_matches_sort_oracle():
             assert all(j in idx[0] for j in same_value_earlier)
 
 
+def test_topk_mean_is_the_per_column_mean_bit_for_bit():
+    """Each video's column mean is np.mean over its k picks, in pick order."""
+    a = nc.split_rng(11, 4).standard_normal((3, 40, 5))
+    for value in (a, a[0]):  # a stack and a single matrix
+        out, idx = nc.topk_mean_columns(nc.constant(value), 12)
+        stack = value.reshape((-1,) + value.shape[-2:])
+        got = out.value.reshape(len(stack), 5)
+        for b, m in enumerate(stack):
+            for c in range(5):
+                picks = np.argsort(-m[:, c], kind="stable")[:12]
+                assert idx.reshape(len(stack), 5, 12)[b, c].tolist() == picks.tolist()
+                assert got[b, c] == m[picks, c].mean()
+
+
 def test_log_domain_error():
     with pytest.raises(nc.DomainError):
         nc.log(nc.param([[0.0, 1.0]]))
@@ -116,21 +130,24 @@ def test_composite_graphs_match_finite_differences():
         w = nc.param(r2.standard_normal((inner, cols)))
         bias = nc.param(r2.standard_normal((1, cols)))
         gate = nc.param(r2.standard_normal((rows, cols)))
-        shift = int(r2.integers(-2, 3))
+        taps = [nc.param(r2.standard_normal((2 * cols, 2 * cols)))
+                for _ in range(3)]
+        conv_bias = nc.param(r2.standard_normal((1, 2 * cols)))
         k = int(r2.integers(1, cols + 1))
 
         def build():
             y = nc.add(nc.matmul(x, w), bias)
             y = nc.concat_cols(nc.relu(y), nc.sigmoid(y))
             y = nc.mul(y, nc.concat_cols(gate, gate))
-            y = nc.shift_rows(y, shift)
+            y = nc.conv3(y, taps, conv_bias)
             y = nc.softmax_rows(y)
             y = nc.square(nc.log(nc.clip(y, 1e-9, 1.0)))
             topk, _ = nc.topk_mean_columns(nc.transpose(y), k)
             return nc.add(nc.scale(nc.sum_all(topk), 1.0 / topk.value.size),
                           nc.sum_all(nc.scale(y, 0.25)))
 
-        err = nc.grad_check(build, [x, w, bias, gate], h=1e-5)
+        err = nc.grad_check(build, [x, w, bias, gate, *taps, conv_bias],
+                            h=1e-5)
         assert err < 1e-4, f"trial {trial}: max rel err {err}"
 
 
@@ -221,8 +238,47 @@ def test_split_rng_is_deterministic_and_splits():
     assert not np.array_equal(a, c)
 
 
-def test_shift_rows_values():
-    x = nc.param([[1.0], [2.0], [3.0]])
-    np.testing.assert_array_equal(nc.shift_rows(x, 1).value, [[2.0], [3.0], [0.0]])
-    np.testing.assert_array_equal(nc.shift_rows(x, -1).value, [[0.0], [1.0], [2.0]])
-    np.testing.assert_array_equal(nc.shift_rows(x, 0).value, x.value)
+def test_conv3_shifts_within_each_video():
+    """Each tap reads its neighbour row with zero fill at every video's ends."""
+    x = nc.constant([[[1.0], [2.0], [3.0]], [[10.0], [20.0], [30.0]]])
+    one, zero = nc.param([[1.0]]), nc.param([[0.0]])
+    bias = nc.param([[0.0]])
+    np.testing.assert_array_equal(
+        nc.conv3(x, [zero, zero, one], bias).value[:, :, 0],
+        [[2.0, 3.0, 0.0], [20.0, 30.0, 0.0]])
+    np.testing.assert_array_equal(
+        nc.conv3(x, [one, zero, zero], bias).value[:, :, 0],
+        [[0.0, 1.0, 2.0], [0.0, 10.0, 20.0]])
+    np.testing.assert_array_equal(
+        nc.conv3(x, [zero, one, zero], nc.param([[0.5]])).value, x.value + 0.5)
+
+
+def test_conv3_matches_the_unfused_tape_bit_for_bit():
+    """conv3 reproduces shift, matmul and add nodes, sums in their order.
+
+    The separate nodes added (x[t-1] K_neg + x[t] K_0) + x[t+1] K_pos,
+    then the bias, and sent the input gradient back through the -1 tap,
+    then the centre, then the +1 tap.
+    """
+    rng = nc.split_rng(11, 5)
+    xv = rng.standard_normal((9, 6))
+    x = nc.param(xv)
+    taps = [nc.param(rng.standard_normal((6, 4))) for _ in range(3)]
+    bias = nc.param(rng.standard_normal((1, 4)))
+    readout = rng.standard_normal((9, 4))
+    y = nc.conv3(x, taps, bias)
+    nc.backward(nc.sum_all(nc.mul(y, nc.constant(readout))))
+
+    kn, k0, kp = (t.value for t in taps)
+    below = np.vstack([np.zeros((1, 6)), xv[:-1]])   # row t holds x[t-1]
+    above = np.vstack([xv[1:], np.zeros((1, 6))])    # row t holds x[t+1]
+    np.testing.assert_array_equal(
+        y.value, ((below @ kn + xv @ k0) + above @ kp) + bias.value)
+    gx = np.zeros_like(xv)
+    gx[:-1] += (readout @ kn.T)[1:]
+    gx += readout @ k0.T
+    gx[1:] += (readout @ kp.T)[:-1]
+    np.testing.assert_array_equal(x.grad, gx)
+    for tap, shifted in zip(taps, (below, xv, above)):
+        np.testing.assert_array_equal(tap.grad, shifted.T @ readout)
+    np.testing.assert_array_equal(bias.grad, readout.sum(axis=0, keepdims=True))

@@ -7,9 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from motionloc import numcore as nc
+from motionloc import runner
 from motionloc.datagen import CorpusSpec, generate_corpus
 from motionloc.network import init_params, load_params
 from motionloc.runner import (ConfigError, ExperimentConfig, TrainConfig,
+                              TrainingError,
                               config_from_dict, config_to_dict, load_config,
                               default_ablation_matrix, evaluate_params,
                               resolve_out, run_ablation, run_evaluation,
@@ -128,6 +131,33 @@ class TestTraining:
         _, curve_a = run_training(tiny_cfg(), train_videos)
         _, curve_b = run_training(tiny_cfg(train={"seed": 1}), train_videos)
         assert curve_a != curve_b
+
+    def test_tape_bound_does_not_change_training(self, monkeypatch):
+        cfg = tiny_cfg(corpus={"n_train": 20}, train={"epochs": 2})
+        train_videos, _ = generate_corpus(cfg.corpus)
+        params_a, curve_a = run_training(cfg, train_videos)
+        # one video per tape instead of eight
+        monkeypatch.setattr(runner, "TAPE_SNIPPETS", 1)
+        params_b, curve_b = run_training(cfg, train_videos)
+        assert curve_a == curve_b
+        for a, b in zip(params_a.trainable(), params_b.trainable()):
+            np.testing.assert_array_equal(a.value, b.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_names_first_video_in_batch_order(self):
+        cfg = tiny_cfg(train={"epochs": 1, "batch_size": 6})
+        train_videos, _ = generate_corpus(cfg.corpus)
+        diverging = (1, 5)
+        for i in diverging:
+            # finite inputs whose convolutions overflow to inf, then nan
+            train_videos[i] = dataclasses.replace(
+                train_videos[i],
+                appearance=np.full_like(train_videos[i].appearance, 1e308))
+        order = nc.split_rng(cfg.train.seed, 100).permutation(6).tolist()
+        first = min(diverging, key=order.index)
+        with pytest.raises(TrainingError,
+                           match=f"epoch 0 on video {train_videos[first].id}$"):
+            run_training(cfg, train_videos)
 
     def test_artifacts_written(self, tmp_path):
         cfg = tiny_cfg(out_dir=str(tmp_path / "run"))
