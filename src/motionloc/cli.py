@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands cover the whole pipeline: corpus generation, training,
-evaluation from a checkpoint, the ablation matrix, the loss-surface
-dump, and a per-video adjacency dump. Exit codes: 0 on success, 1 on
-usage errors, 2 on runtime failures (bad config, missing files,
-diverged training).
+Subcommands cover the whole pipeline: a corpus summary with its
+fingerprint (every run regenerates the corpus from its spec; none is
+stored), training, evaluation from a checkpoint, the ablation matrix,
+the loss-surface dump, and a per-video adjacency dump. Exit codes: 0 on
+success, 1 on usage errors, 2 on runtime failures (bad config, missing
+files, diverged training).
 """
 
 import argparse
@@ -15,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import (CorpusFormatError, GenerationError, generate_corpus,
-                      save_corpus)
+from .datagen import GenerationError, corpus_fingerprint, generate_corpus
 from .motiongraph import adjacency_mean_distance, build_graph
 from .network import guidance_features, init_params, load_params
 from .numcore import DomainError, NonFiniteError, ShapeMismatchError
@@ -55,11 +55,14 @@ def _cmd_generate(args):
     cfg = config_from_dict({"corpus": data})
     if args.seed is not None:
         cfg = config_from_dict({"corpus": {"seed": args.seed}}, base=cfg)
-    spec = cfg.corpus
-    train, test = generate_corpus(spec)
-    out = resolve_out(args.out)
-    save_corpus(out, train, test, spec)
-    print(f"wrote {len(train)} train / {len(test)} test videos to {out}")
+    train, test = generate_corpus(cfg.corpus)
+    videos = train + test
+    background = sum(v.T - int(v.gt_mask().sum()) for v in videos)
+    confounders = sum(len(v.confounder_idx) for v in videos)
+    print(f"generated {len(train)} train / {len(test)} test videos, "
+          f"{sum(len(v.gt_intervals) for v in videos)} intervals, "
+          f"confounder share {confounders / max(background, 1):.3f}, "
+          f"sha256 {corpus_fingerprint(videos)}")
 
 
 def _cmd_train(args):
@@ -81,14 +84,19 @@ def _checkpoint_mismatch(trained, cfg):
 
 
 def _cmd_eval(args):
-    cfg = _load_experiment(args)
-    ckpt = Path(args.checkpoint) if args.checkpoint else \
-        resolve_out(cfg.out_dir) / "checkpoint"
-    if not (Path(ckpt) / "manifest.json").exists():
-        raise FileNotFoundError(f"no checkpoint at {ckpt}")
+    # --out names the report directory only; without --checkpoint the
+    # checkpoint lives under the out_dir of --config (or the default)
+    if args.checkpoint:
+        ckpt = Path(args.checkpoint)
+    else:
+        own = load_config(args.config) if args.config else ExperimentConfig()
+        ckpt = resolve_out(own.out_dir) / "checkpoint"
+    if not (ckpt / "manifest.json").exists():
+        raise FileNotFoundError(f"no checkpoint at {ckpt} (pass --checkpoint, "
+                                "or a --config whose out_dir holds one)")
     # the config train wrote next to the checkpoint is the base; --config
     # may change how the model is evaluated, not the model it describes
-    trained_path = Path(ckpt).parent / "config.json"
+    trained_path = ckpt.parent / "config.json"
     if not trained_path.exists():
         raise FileNotFoundError(f"no config.json next to checkpoint {ckpt}")
     trained = load_config(trained_path)
@@ -163,10 +171,10 @@ def build_parser():
                      description="motion-guided temporal localization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write a synthetic corpus to disk")
+    p = sub.add_parser("generate",
+                       help="summarize and fingerprint a synthetic corpus")
     p.add_argument("--spec", help="JSON file of corpus fields")
     p.add_argument("--seed", type=int, help="override corpus seed")
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("train", help="train a model end to end")
@@ -204,10 +212,9 @@ def build_parser():
     return parser
 
 
-_RUNTIME_ERRORS = (ConfigError, TrainingError, GenerationError,
-                   CorpusFormatError, DomainError, NonFiniteError,
-                   ShapeMismatchError, FileNotFoundError, NotADirectoryError,
-                   json.JSONDecodeError, ValueError)
+_RUNTIME_ERRORS = (ConfigError, TrainingError, GenerationError, DomainError,
+                   NonFiniteError, ShapeMismatchError, FileNotFoundError,
+                   NotADirectoryError, json.JSONDecodeError, ValueError)
 
 
 def main(argv=None):

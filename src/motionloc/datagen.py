@@ -6,20 +6,19 @@ follows the class motion prototype, outside it is low-energy noise. The
 appearance stream carries deliberate confounders: a fraction of background
 snippets look like an action class while their motion stays background,
 mimicking stationary narration frames that fool appearance-only models.
+The corpus lives only in memory: it is a pure function of its spec, so
+every run regenerates it, and a sha256 fingerprint stands in for a copy
+on disk when two corpora must be compared.
 """
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import dataclass, field, asdict
-from pathlib import Path
+import hashlib
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .numcore import split_rng
-
-MAGIC = b"MLOC1"
 
 _PROTO_STREAM = 0
 _VIDEO_STREAM = 1
@@ -36,10 +35,6 @@ NOISE_SMOOTHING = 4
 
 class GenerationError(RuntimeError):
     """Interval placement failed after the retry budget."""
-
-
-class CorpusFormatError(ValueError):
-    """A corpus file on disk is malformed."""
 
 
 @dataclass(frozen=True)
@@ -189,7 +184,9 @@ def _generate_video(spec: CorpusSpec, vid: str, rng: np.random.Generator,
             break
     confounder_idx.sort()
 
-    # freeze to f32 precision once so disk round trips are lossless
+    # round to f32 precision once: every pinned artifact (loss curves,
+    # reports, ablation tables, the generate fingerprint) comes from
+    # f32-valued streams, and dropping the rounding would change them all
     appearance = appearance.astype(np.float32).astype(np.float64)
     motion = motion.astype(np.float32).astype(np.float64)
 
@@ -231,112 +228,18 @@ def generate_corpus(spec: CorpusSpec) -> tuple[list[SyntheticVideo], list[Synthe
     return train, test
 
 
-# ---------------------------------------------------------------------------
-# on-disk format: manifest.json + one binary record per video
+def corpus_fingerprint(videos: list[SyntheticVideo]) -> str:
+    """sha256 over ids, intervals, labels, confounder indices and streams.
 
-
-def _record_bytes(video: SyntheticVideo, d: int, C: int) -> bytes:
-    parts = [MAGIC]
-    parts.append(struct.pack("<IIII", video.T, d, C, len(video.gt_intervals)))
-    for s, e, c in video.gt_intervals:
-        parts.append(struct.pack("<III", s, e, c))
-    parts.append(video.appearance.astype("<f4").tobytes(order="C"))
-    parts.append(video.motion.astype("<f4").tobytes(order="C"))
-    return b"".join(parts)
-
-
-def _parse_record(raw: bytes, path: str) -> SyntheticVideo:
-    def fail(offset: int, why: str):
-        raise CorpusFormatError(f"{path}: offset {offset}: {why}")
-
-    if raw[: len(MAGIC)] != MAGIC:
-        fail(0, f"bad magic {raw[:len(MAGIC)]!r}, expected {MAGIC!r}")
-    off = len(MAGIC)
-    try:
-        T, d, C, n_int = struct.unpack_from("<IIII", raw, off)
-    except struct.error:
-        fail(off, "truncated header")
-    off += 16
-    intervals = []
-    for _ in range(n_int):
-        try:
-            s, e, c = struct.unpack_from("<III", raw, off)
-        except struct.error:
-            fail(off, "truncated interval table")
-        intervals.append((s, e, c))
-        off += 12
-    need = T * d * 4
-    if len(raw) < off + 2 * need:
-        fail(off, f"truncated features: need {2 * need} bytes, have {len(raw) - off}")
-    appearance = np.frombuffer(raw, dtype="<f4", count=T * d, offset=off)
-    off += need
-    motion = np.frombuffer(raw, dtype="<f4", count=T * d, offset=off)
-    off += need
-    if len(raw) != off:
-        fail(off, f"{len(raw) - off} trailing bytes")
-    label = np.zeros(C)
-    for s, e, c in intervals:
-        if not (0 <= s <= e < T) or not 0 <= c < C:
-            fail(0, f"invalid interval ({s}, {e}, {c})")
-        label[c] = 1.0
-    return SyntheticVideo(
-        id="", T=T,
-        appearance=appearance.astype(np.float64).reshape(T, d),
-        motion=motion.astype(np.float64).reshape(T, d),
-        gt_intervals=intervals, label=label,
-    )
-
-
-def save_corpus(path: str | Path, train: list[SyntheticVideo],
-                test: list[SyntheticVideo], spec: CorpusSpec) -> None:
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-
-    def index(videos: list[SyntheticVideo]) -> list[dict]:
-        entries = []
-        for v in videos:
-            fname = f"{v.id}.bin"
-            (root / fname).write_bytes(_record_bytes(v, spec.d, spec.C))
-            entries.append({
-                "id": v.id,
-                "file": fname,
-                "label": [int(x) for x in v.label],
-                "confounder_idx": list(v.confounder_idx),
-            })
-        return entries
-
-    manifest = {
-        "format": MAGIC.decode(),
-        "spec": asdict(spec),
-        "train": index(train),
-        "test": index(test),
-    }
-    (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-
-
-def load_corpus(path: str | Path) -> tuple[list[SyntheticVideo], list[SyntheticVideo], CorpusSpec]:
-    root = Path(path)
-    manifest_path = root / "manifest.json"
-    if not manifest_path.is_file():
-        raise CorpusFormatError(f"{manifest_path}: missing manifest")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as err:
-        raise CorpusFormatError(
-            f"{manifest_path}: line {err.lineno}: {err.msg}") from err
-    if manifest.get("format") != MAGIC.decode():
-        raise CorpusFormatError(f"{manifest_path}: unknown format {manifest.get('format')!r}")
-    spec = CorpusSpec(**manifest["spec"])
-
-    def read(entries: list[dict]) -> list[SyntheticVideo]:
-        videos = []
-        for entry in entries:
-            record = root / entry["file"]
-            video = _parse_record(record.read_bytes(), str(record))
-            video.id = entry["id"]
-            video.confounder_idx = [int(t) for t in entry.get("confounder_idx", [])]
-            video.validate(spec.C)
-            videos.append(video)
-        return videos
-
-    return read(manifest["train"]), read(manifest["test"]), spec
+    Integers are hashed as <i8 and the label and both streams as <f8
+    bytes, video by video in list order.
+    """
+    h = hashlib.sha256()
+    for v in videos:
+        h.update(v.id.encode())
+        h.update(np.asarray(v.gt_intervals, dtype="<i8").tobytes())
+        h.update(np.asarray(v.label, dtype="<f8").tobytes())
+        h.update(np.asarray(v.confounder_idx, dtype="<i8").tobytes())
+        h.update(np.asarray(v.appearance, dtype="<f8").tobytes())
+        h.update(np.asarray(v.motion, dtype="<f8").tobytes())
+    return h.hexdigest()

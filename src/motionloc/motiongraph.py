@@ -68,23 +68,27 @@ def build_positional_edges(motion, cfg):
     return mask
 
 
+def _projections(motion, W1, W2):
+    """T and the projected features motion @ W1.T, motion @ W2.T (T x d)."""
+    motion = as_matrix(motion, "motion")
+    d = motion.shape[1]
+    W1 = as_matrix(W1, "W1")
+    W2 = as_matrix(W2, "W2")
+    if W1.shape != (d, d) or W2.shape != (d, d):
+        raise ShapeMismatchError(
+            f"projections must be {d}x{d}, got {W1.shape} and {W2.shape}")
+    return motion.shape[0], motion @ W1.T, motion @ W2.T
+
+
 def build_semantic_edges(motion, W1, W2, cfg):
     """Mask of distant pairs whose projected features agree in direction.
 
     A pair qualifies when |i-j|/T exceeds the positional threshold and
     cos(W1 m_i, W2 m_j) exceeds gamma; the result is symmetrized.
     """
-    motion = as_matrix(motion, "motion")
-    T, d = motion.shape
-    W1 = as_matrix(W1, "W1")
-    W2 = as_matrix(W2, "W2")
-    if W1.shape != (d, d) or W2.shape != (d, d):
-        raise ShapeMismatchError(
-            f"projections must be {d}x{d}, got {W1.shape} and {W2.shape}")
-    p1 = _unit_rows(motion @ W1.T)
-    p2 = _unit_rows(motion @ W2.T)
+    T, q1, q2 = _projections(motion, W1, W2)
     distant = (_distance(T) / T) > cfg.theta_pos
-    qual = distant & ((p1 @ p2.T) > cfg.gamma)
+    qual = distant & ((_unit_rows(q1) @ _unit_rows(q2).T) > cfg.gamma)
     return qual | qual.T
 
 
@@ -104,18 +108,11 @@ def build_dense_adjacency(motion, W1, W2):
     Rows whose sum is negative or vanishing fall back to uniform 1/T
     weights (signed inner products make the normalizer unreliable there).
     """
-    motion = as_matrix(motion, "motion")
-    T, d = motion.shape
-    W1 = as_matrix(W1, "W1")
-    W2 = as_matrix(W2, "W2")
-    if W1.shape != (d, d) or W2.shape != (d, d):
-        raise ShapeMismatchError(
-            f"projections must be {d}x{d}, got {W1.shape} and {W2.shape}")
-    S = (motion @ W1.T) @ (motion @ W2.T).T
+    T, q1, q2 = _projections(motion, W1, W2)
+    S = q1 @ q2.T
     sums = S.sum(axis=1, keepdims=True)
     ok = sums > _TINY_ROW_SUM
-    G = np.where(ok, S / np.where(ok, sums, 1.0), 1.0 / T)
-    return G
+    return np.where(ok, S / np.where(ok, sums, 1.0), 1.0 / T)
 
 
 def build_graph(motion, W1, W2, cfg):

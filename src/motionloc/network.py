@@ -153,7 +153,7 @@ def full_forward(videos, adjacency, params, mcfg):
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: manifest.json plus one little-endian f32 blob per tensor
+# checkpoints: manifest.json plus one little-endian f64 blob per tensor
 
 
 def _named_tensors(params):
@@ -177,7 +177,7 @@ def save_params(path, params):
     for name, value in _named_tensors(params):
         fname = name.replace(".", "_") + ".bin"
         manifest[name] = {"file": fname, "shape": list(value.shape)}
-        flat = np.ascontiguousarray(value, dtype="<f4")
+        flat = np.ascontiguousarray(value, dtype="<f8")
         (path / fname).write_bytes(flat.tobytes())
     (path / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -186,11 +186,11 @@ def save_params(path, params):
 def _read_tensor(path, entry, name):
     raw = (path / entry["file"]).read_bytes()
     shape = tuple(entry["shape"])
-    want = 4 * shape[0] * shape[1]
+    want = 8 * shape[0] * shape[1]
     if len(raw) != want:
         raise ValueError(
             f"checkpoint tensor {name}: expected {want} bytes, got {len(raw)}")
-    return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+    return np.frombuffer(bytearray(raw), dtype="<f8").reshape(shape)
 
 
 def load_params(path):

@@ -1,4 +1,4 @@
-"""Dense matrix numerics: reverse-mode tape, gradient checking, Adam.
+"""Dense matrix numerics: reverse-mode tape and Adam.
 
 Every value on the tape is a row-major float64 numpy array: a T x n
 matrix for one video, or a B x T x n stack with a leading video axis
@@ -16,7 +16,7 @@ throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -89,11 +89,6 @@ class DiffNode:
     @property
     def cols(self) -> int:
         return self.value.shape[-1]
-
-    def item(self) -> float:
-        if self.value.size != 1:
-            raise ShapeMismatchError(f"item() on non-scalar node of shape {self.shape}")
-        return float(self.value.reshape(-1)[0])
 
     def __repr__(self) -> str:
         return f"DiffNode(op={self.op!r}, shape={self.shape})"
@@ -474,52 +469,6 @@ def topk_mean_columns(a: DiffNode, k: int) -> tuple[DiffNode, np.ndarray]:
 
     out._rule = rule if out.needs_grad else None
     return out, indices
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def grad_check(build_loss: Callable[[], DiffNode], params: Sequence[DiffNode],
-               h: float) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    `build_loss` must rebuild the loss from the current parameter values
-    on every call: 1 x 1, or B x 1 x 1 per-video losses, whose sum is
-    then checked. The finite-difference side only ever reads values,
-    never tape gradients, so it stays an independent oracle. Error per
-    coordinate is |analytic - numeric| / max(1, |analytic|).
-    """
-    if not 1e-6 <= h <= 1e-3:
-        raise ValueError(f"h={h} outside [1e-6, 1e-3]")
-    zero_grads(params)
-    loss = build_loss()
-    if loss.shape[-2:] != (1, 1):
-        raise ShapeMismatchError("grad_check needs 1 x 1 losses")
-    if not np.isfinite(loss.value).all():
-        raise NonFiniteError("loss is not finite at the base point")
-    backward(loss)
-    analytic = [p.grad.copy() for p in params]
-
-    max_err = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.value.reshape(-1)
-        gflat = ga.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = float(build_loss().value.sum())
-            flat[i] = orig - h
-            fm = float(build_loss().value.sum())
-            flat[i] = orig
-            if not (np.isfinite(fp) and np.isfinite(fm)):
-                raise NonFiniteError("loss is not finite under perturbation")
-            numeric = (fp - fm) / (2.0 * h)
-            err = abs(gflat[i] - numeric) / max(1.0, abs(gflat[i]))
-            if err > max_err:
-                max_err = err
-    zero_grads(params)
-    return max_err
 
 
 # ---------------------------------------------------------------------------

@@ -133,18 +133,17 @@ def per_video_loss(out, labels, cfg):
     return motion_guided_loss(agg, mu, labels, cfg), agg
 
 
-def surface_term(p, mu, label=1.0):
-    """Single-class motion-guided term -mu^2 yhat log p - log mu^2."""
-    return -(mu ** 2) * label * np.log(p) - np.log(mu ** 2)
-
-
 def loss_surface(p_grid, mu_grid, label=1.0):
-    """Matrix L[i, j] = surface_term(p_grid[i], mu_grid[j], label)."""
-    p = np.asarray(p_grid, dtype=np.float64)
-    m = np.asarray(mu_grid, dtype=np.float64)
-    if np.any(p <= 0) or np.any(p >= 1) or np.any(m <= 0) or np.any(m >= 1):
+    """Single-class guided term L[i, j] = -mu^2 yhat log p - log mu^2.
+
+    Evaluated at p = p_grid[i] and mu = mu_grid[j]; one point (p, mu) is
+    loss_surface([p], [mu])[0, 0].
+    """
+    p = np.asarray(p_grid, dtype=np.float64)[:, None]
+    mu = np.asarray(mu_grid, dtype=np.float64)[None, :]
+    if np.any(p <= 0) or np.any(p >= 1) or np.any(mu <= 0) or np.any(mu >= 1):
         raise DomainError("grids must lie strictly inside (0, 1)")
-    return surface_term(p[:, None], m[None, :], label)
+    return -(mu ** 2) * label * np.log(p) - np.log(mu ** 2)
 
 
 def default_surface_grids(n=50):

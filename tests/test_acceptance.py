@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from motionloc import numcore as nc
+from gradcheck import grad_check
 from motionloc import objective as obj
 from motionloc import localization as loc
 from motionloc import metrics
@@ -96,8 +96,8 @@ def test_criterion_1_gradient_correctness():
                 loss, _ = obj.per_video_loss(out, labels, cfg)
                 return loss
 
-            worst = max(worst, nc.grad_check(build, params.trainable(),
-                                             h=1e-5))
+            worst = max(worst, grad_check(build, params.trainable(),
+                                          h=1e-5))
     elapsed = time.perf_counter() - t0
     _verdict(1, "analytic gradients match central differences",
              worst < 1e-4 and elapsed < 60.0,
@@ -115,9 +115,9 @@ def test_criterion_2_loss_surface_shape():
     L = obj.loss_surface(p_grid, mu_grid)
     dec_p = bool(np.all(np.diff(L, axis=0) < 0))
     dec_mu = bool(np.all(np.diff(L, axis=1) < 0))
-    c1 = obj.surface_term(0.1, 0.1)
-    c2 = obj.surface_term(0.9, 0.1)
-    c3 = obj.surface_term(0.9, 0.9)
+    c1 = obj.loss_surface([0.1], [0.1])[0, 0]
+    c2 = obj.loss_surface([0.9], [0.1])[0, 0]
+    c3 = obj.loss_surface([0.9], [0.9])[0, 0]
     corners = c1 > c2 > c3
     elapsed = time.perf_counter() - t0
     _verdict(2, "guided loss surface decreases along both axes",
@@ -145,7 +145,7 @@ def test_criterion_3_collapse_at_full_motionness():
         mu = obj.video_motionness(ones, agg.topk_indices)
         guided = obj.motion_guided_loss(agg, mu, label, LossConfig())
         plain = obj.xe_loss(agg, label)
-        worst = max(worst, abs(guided.item() - plain.item()))
+        worst = max(worst, abs(guided.value.item() - plain.value.item()))
     _verdict(3, "guided loss equals cross-entropy at motionness 1",
              worst < 1e-6, f"20 instances, max |L_g - L_a| = {worst:.2e}")
 

@@ -1,9 +1,15 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
 import json
+import typing
+
+import numpy as np
 
 from motionloc.cli import main
-from motionloc.datagen import load_corpus
+from motionloc.datagen import CorpusSpec, corpus_fingerprint, generate_corpus
+from motionloc.runner import (ExperimentConfig, config_from_dict,
+                              config_to_dict, evaluate_params,
+                              train_experiment)
 
 TINY = {
     "corpus": {"n_train": 4, "n_test": 3},
@@ -23,39 +29,63 @@ def write_cfg(tmp_path, extra=None):
     return str(path)
 
 
+def _generate(capsys, *flags):
+    """Run `generate`, return its printed sha256 fingerprint."""
+    assert main(["generate", *flags]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and "sha256 " in out, out
+    return out.split("sha256 ")[1].strip()
+
+
 class TestGenerate:
     def test_smoke(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n_train": 3, "n_test": 2}))
-        code = main(["generate", "--spec", str(spec),
-                     "--out", str(tmp_path / "corpus")])
-        assert code == 0
-        assert "3 train / 2 test" in capsys.readouterr().out
-        train, test, _ = load_corpus(tmp_path / "corpus")
-        assert len(train) == 3 and len(test) == 2
+        assert main(["generate", "--spec", str(spec)]) == 0
+        out = capsys.readouterr().out
+        assert "3 train / 2 test" in out and "confounder share" in out
+        train, test = generate_corpus(CorpusSpec(n_train=3, n_test=2))
+        assert f"{sum(len(v.gt_intervals) for v in train + test)} intervals" in out
+        assert out.rstrip().endswith(corpus_fingerprint(train + test))
+        assert list(tmp_path.iterdir()) == [spec]
 
-    def test_seed_override_changes_corpus(self, tmp_path):
+    def test_golden_fingerprints(self, tmp_path, capsys):
+        # the generator's numpy streams, pinned: a change here changes
+        # every loss curve, report and ablation table downstream
+        assert _generate(capsys) == \
+            "8ef59ff0d344b36185c9f63c1276baff3d81684cc3371932b75725aa694b7991"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"T": 256, "n_train": 32, "n_test": 200,
+                                    "seed": 0}))
+        assert _generate(capsys, "--spec", str(spec)) == \
+            "f017cf59fbe05e01b9b7ddf224e411f940f54bd278d4f09bfc73c4532d7914f6"
+
+    def test_seed_override_changes_corpus(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n_train": 2, "n_test": 1}))
-        for seed, name in ((1, "a"), (2, "b")):
-            assert main(["generate", "--spec", str(spec), "--seed", str(seed),
-                         "--out", str(tmp_path / name)]) == 0
-        a = json.loads((tmp_path / "a" / "manifest.json").read_text())
-        b = json.loads((tmp_path / "b" / "manifest.json").read_text())
-        assert a["spec"]["seed"] == 1
-        assert b["spec"]["seed"] == 2
+        printed = [_generate(capsys, "--spec", str(spec), "--seed", str(seed))
+                   for seed in (1, 2)]
+        expect = [corpus_fingerprint(sum(generate_corpus(
+            CorpusSpec(n_train=2, n_test=1, seed=seed)), []))
+            for seed in (1, 2)]
+        assert printed == expect and printed[0] != printed[1]
+
+    def test_out_flag_is_gone(self, tmp_path, capsys):
+        assert main(["generate", "--out", str(tmp_path / "corpus")]) == 1
+        assert "--out" in capsys.readouterr().err
+        assert not (tmp_path / "corpus").exists()
 
     def test_unknown_spec_key(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"length": 9}))
-        code = main(["generate", "--spec", str(spec), "--out", str(tmp_path)])
+        code = main(["generate", "--spec", str(spec)])
         assert code == 2
         assert "length" in capsys.readouterr().err
 
     def test_spec_not_an_object(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps([3, 2]))
-        code = main(["generate", "--spec", str(spec), "--out", str(tmp_path)])
+        code = main(["generate", "--spec", str(spec)])
         assert code == 2
         err = capsys.readouterr().err
         assert "corpus must be an object" in err and "Traceback" not in err
@@ -105,6 +135,34 @@ class TestTrainEval:
                                    "inference": {"theta_c": 0.3}})
         assert main(["eval", "--config", cfg]) == 0
 
+    def test_eval_out_names_only_the_report_directory(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        cfg = write_cfg(tmp_path, {"out_dir": str(run)})
+        assert main(["train", "--config", cfg]) == 0
+        capsys.readouterr()
+        # the checkpoint is found under the config's out_dir, not under --out
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "rep")]) == 0
+        assert (tmp_path / "rep" / "report.json").exists()
+        assert (tmp_path / "rep" / "report.csv").exists()
+        assert not (run / "report.json").exists()
+
+    def test_cli_eval_scores_the_in_process_weights(self, tmp_path, capsys):
+        """A checkpoint round trip is exact: CLI train -> eval writes the
+        reports evaluate_params writes from the weights training returned."""
+        extra = {"corpus": {"n_train": 24, "n_test": 12},
+                 "train": {"epochs": 5}}
+        cfg = write_cfg(tmp_path, {"out_dir": str(tmp_path / "run"), **extra})
+        assert main(["train", "--config", cfg]) == 0
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "cli")]) == 0
+        inproc = config_from_dict(
+            {**json.loads(json.dumps(TINY)), **extra,
+             "out_dir": str(tmp_path / "inproc")})
+        params, _, _ = train_experiment(inproc)
+        evaluate_params(inproc, params, out=tmp_path / "inproc")
+        for name in ("report.json", "report.csv"):
+            assert (tmp_path / "cli" / name).read_bytes() == \
+                (tmp_path / "inproc" / name).read_bytes(), name
+
     def test_eval_missing_checkpoint(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"out_dir": str(tmp_path / "nothing")})
         assert main(["eval", "--config", cfg]) == 2
@@ -135,6 +193,99 @@ class TestTrainEval:
         assert main(["train", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "train.batch_size must be int" in err and "Traceback" not in err
+
+
+# values each validator must refuse, one list per (section, key)
+_OUT_OF_RANGE = {
+    ("corpus", "n_train"): [0, -3], ("corpus", "n_test"): [0],
+    ("corpus", "T"): [0], ("corpus", "d"): [-1], ("corpus", "C"): [0],
+    ("corpus", "confounder_rate"): [1.5, -0.1],
+    ("corpus", "noise_sigma"): [-0.5],
+    ("graph", "theta_pos"): [0.0, 1.0, 2], ("graph", "gamma"): [1.0, -1],
+    ("graph", "mode"): ["star", ""],
+    ("model", "k_layers"): [0], ("model", "guidance_stream"): ["audio"],
+    ("loss", "r"): [0, -2], ("loss", "regularizer_mask"): ["some"],
+    ("loss", "loss_kind"): ["hinge"],
+    ("train", "epochs"): [0], ("train", "batch_size"): [0, -16],
+    ("train", "lr"): [0.0, -1e-3],
+    ("inference", "theta_c"): [1.5, -0.2], ("inference", "nms_iou"): [1.01],
+    ("inference", "theta_a_list"): [[], [0.2, 0.1], [0.1, 1.5], [0.1, 0.1]],
+    (None, "eval_iou"): [[], [0.0], [0.5, 1.5]],
+}
+
+
+def _wrong_types(want):
+    """JSON values that do not fit a field annotated `want`."""
+    wrong = [None, {}, {"x": 1}]
+    wrong += [7] if want is str else ["5"]
+    if want is not bool:
+        wrong += [True, False]
+    if want is int:
+        wrong += [2.5, [1]]
+    if want is tuple:
+        wrong += [0.5, ["0.5"], [True]]
+    return wrong
+
+
+def _fields():
+    """(section, key, annotation) of every config field; section None is
+    the top level."""
+    out = []
+    for name, want in typing.get_type_hints(ExperimentConfig).items():
+        if want in (tuple, str):
+            out.append((None, name, want))
+        else:
+            out += [(name, key, hint) for key, hint
+                    in typing.get_type_hints(want).items()]
+    return out
+
+
+def _mutate(rng, data):
+    """Apply one random malformation to a config dict in place."""
+    kind = rng.integers(4)
+    sections = [k for k, v in data.items() if isinstance(v, dict)]
+    if kind == 0:                      # a value of the wrong type
+        fields = _fields()
+        section, key, want = fields[rng.integers(len(fields))]
+        options = _wrong_types(want)
+        value = options[rng.integers(len(options))]
+    elif kind == 1:                    # an unknown key
+        section = [None, *sections][rng.integers(len(sections) + 1)]
+        key, value = f"bogus_{rng.integers(1000)}", 1
+    elif kind == 2:                    # an out-of-range value
+        keys = list(_OUT_OF_RANGE)
+        section, key = keys[rng.integers(len(keys))]
+        options = _OUT_OF_RANGE[(section, key)]
+        value = options[rng.integers(len(options))]
+    else:                              # a section that is not an object
+        section, key = None, sections[rng.integers(len(sections))]
+        value = [[], 3, "corpus", None, True][rng.integers(5)]
+    target = data if section is None else data[section]
+    if isinstance(target, dict):       # else an earlier mutation broke it
+        target[key] = value
+
+
+class TestMalformedConfig:
+    def test_random_malformations_exit_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(20240)
+        valid = config_to_dict(ExperimentConfig())
+        path = tmp_path / "cfg.json"
+        commands = (["train"], ["eval"], ["ablate"], ["dump-graph"])
+        for trial in range(400):
+            data = json.loads(json.dumps(valid))
+            for _ in range(1 + rng.integers(2)):
+                _mutate(rng, data)
+            path.write_text(json.dumps(data))
+            command = commands[trial % len(commands)]
+            code = main([*command, "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+            captured = capsys.readouterr()
+            assert code == 2, (trial, data)
+            assert captured.err.startswith("error: "), (trial, captured.err)
+            assert "Traceback" not in captured.err and not captured.out
+            # refused for the config itself, not for a missing checkpoint
+            assert "no checkpoint" not in captured.err, (trial, data)
+        assert not (tmp_path / "out").exists()
 
 
 class TestAblate:
@@ -189,4 +340,7 @@ class TestExitCodes:
         assert main(["explode"]) == 1
 
     def test_missing_required_flag(self, capsys):
-        assert main(["generate"]) == 1
+        # no flag is required any more; a flag without its value is the
+        # same usage error
+        assert main(["train", "--config"]) == 1
+        assert "usage error" in capsys.readouterr().err

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from motionloc import datagen
-from motionloc.datagen import CorpusSpec, CorpusFormatError
+from motionloc.datagen import CorpusSpec, corpus_fingerprint
 
 
 SMALL = CorpusSpec(n_train=20, n_test=5, T=64, d=16, C=5, seed=7)
@@ -25,16 +27,27 @@ def test_zero_noise_interval_motion_is_exact_prototype():
         np.testing.assert_array_equal(v.motion[~mask], 0.0)
 
 
-def test_determinism_byte_identical(tmp_path):
+def _videos_equal(a, b):
+    return (
+        a.id == b.id
+        and a.T == b.T
+        and a.gt_intervals == b.gt_intervals
+        and np.array_equal(a.label, b.label)
+        and a.confounder_idx == b.confounder_idx
+        and np.array_equal(a.appearance, b.appearance)
+        and np.array_equal(a.motion, b.motion)
+    )
+
+
+def test_determinism_byte_identical():
     spec = CorpusSpec(n_train=10, n_test=3, seed=7)
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    datagen.save_corpus(a, *datagen.generate_corpus(spec), spec=spec)
-    datagen.save_corpus(b, *datagen.generate_corpus(spec), spec=spec)
-    files_a = sorted(p.name for p in a.iterdir())
-    assert files_a == sorted(p.name for p in b.iterdir())
-    for name in files_a:
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    train_a, test_a = datagen.generate_corpus(spec)
+    train_b, test_b = datagen.generate_corpus(spec)
+    assert len(train_a) == len(train_b) and len(test_a) == len(test_b)
+    for a, b in zip(train_a + test_a, train_b + test_b):
+        assert _videos_equal(a, b), a.id
+    assert corpus_fingerprint(train_a + test_a) == \
+        corpus_fingerprint(train_b + test_b)
 
 
 def test_confounder_fraction_matches_rate():
@@ -114,52 +127,22 @@ def test_confounders_fool_appearance_but_not_motion():
     assert mot_fooled / total < 0.05
 
 
-def _videos_equal(a, b):
-    return (
-        a.id == b.id
-        and a.T == b.T
-        and a.gt_intervals == b.gt_intervals
-        and np.array_equal(a.label, b.label)
-        and a.confounder_idx == b.confounder_idx
-        and np.array_equal(a.appearance, b.appearance)
-        and np.array_equal(a.motion, b.motion)
-    )
-
-
-def test_roundtrip_preserves_corpus(tmp_path):
+def test_fingerprint_sees_every_field():
     train, test = datagen.generate_corpus(SMALL)
-    datagen.save_corpus(tmp_path / "corpus", train, test, SMALL)
-    train2, test2, spec2 = datagen.load_corpus(tmp_path / "corpus")
-    assert spec2 == SMALL
-    assert len(train2) == len(train) and len(test2) == len(test)
-    for a, b in zip(train + test, train2 + test2):
-        assert _videos_equal(a, b), a.id
-
-
-def test_empty_corpus_roundtrip(tmp_path):
-    datagen.save_corpus(tmp_path / "empty", [], [], SMALL)
-    train, test, spec = datagen.load_corpus(tmp_path / "empty")
-    assert train == [] and test == [] and spec == SMALL
-
-
-def test_corrupted_magic_is_parse_error(tmp_path):
-    train, test = datagen.generate_corpus(CorpusSpec(n_train=1, n_test=1, seed=1))
-    datagen.save_corpus(tmp_path / "c", train, test, CorpusSpec(n_train=1, n_test=1, seed=1))
-    victim = tmp_path / "c" / "train-0000.bin"
-    raw = bytearray(victim.read_bytes())
-    raw[:5] = b"BOGUS"
-    victim.write_bytes(bytes(raw))
-    with pytest.raises(CorpusFormatError, match="magic"):
-        datagen.load_corpus(tmp_path / "c")
-
-
-def test_truncated_record_is_parse_error(tmp_path):
-    train, test = datagen.generate_corpus(CorpusSpec(n_train=1, n_test=1, seed=1))
-    datagen.save_corpus(tmp_path / "c", train, test, CorpusSpec(n_train=1, n_test=1, seed=1))
-    victim = tmp_path / "c" / "train-0000.bin"
-    victim.write_bytes(victim.read_bytes()[:40])
-    with pytest.raises(CorpusFormatError, match="offset"):
-        datagen.load_corpus(tmp_path / "c")
+    base = corpus_fingerprint(train + test)
+    v = train[0]
+    changes = (
+        {"id": "train-9999"},
+        {"gt_intervals": [(s, e + 1, c) for s, e, c in v.gt_intervals]},
+        {"label": 1.0 - v.label},
+        {"confounder_idx": v.confounder_idx + [v.T - 1]},
+        {"appearance": np.nextafter(v.appearance, np.inf)},
+        {"motion": np.nextafter(v.motion, np.inf)},
+    )
+    for change in changes:
+        edited = dataclasses.replace(v, **change)
+        assert corpus_fingerprint([edited] + train[1:] + test) != base, change
+    assert corpus_fingerprint(test + train) != base
 
 
 def test_interval_placement_failure_raises():

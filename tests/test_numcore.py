@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from motionloc import numcore as nc
 
 
@@ -76,7 +77,7 @@ def test_softmax_rows_are_distributions():
 def test_topk_mean_definition_and_gradient():
     v = nc.param(np.array([[0.1], [0.9], [0.4]]))
     out, idx = nc.topk_mean_columns(v, 2)
-    assert out.item() == pytest.approx(0.65)
+    assert out.value.item() == pytest.approx(0.65)
     assert idx.tolist() == [[1, 2]]
     nc.backward(out)
     np.testing.assert_allclose(v.grad, [[0.0], [0.5], [0.5]])
@@ -91,7 +92,7 @@ def test_topk_mean_matches_sort_oracle():
         k = int(rng.integers(1, n + 1))
         out, idx = nc.topk_mean_columns(nc.param(col.reshape(-1, 1)), k)
         expected = float(np.mean(sorted(col, reverse=True)[:k]))
-        assert out.item() == pytest.approx(expected, abs=1e-12)
+        assert out.value.item() == pytest.approx(expected, abs=1e-12)
         # tie rule: selected indices are the lexicographically smallest
         # index set achieving the top-k value multiset
         chosen = sorted(col[idx[0]], reverse=True)
@@ -146,14 +147,14 @@ def test_composite_graphs_match_finite_differences():
             return nc.add(nc.scale(nc.sum_all(topk), 1.0 / topk.value.size),
                           nc.sum_all(nc.scale(y, 0.25)))
 
-        err = nc.grad_check(build, [x, w, bias, gate, *taps, conv_bias],
-                            h=1e-5)
+        err = grad_check(build, [x, w, bias, gate, *taps, conv_bias],
+                         h=1e-5)
         assert err < 1e-4, f"trial {trial}: max rel err {err}"
 
 
 def test_grad_check_quadratic():
     x = nc.param([[3.0]])
-    err = nc.grad_check(lambda: nc.square(x), [x], h=1e-4)
+    err = grad_check(lambda: nc.square(x), [x], h=1e-4)
     assert err < 1e-6
     # analytic derivative of x^2 at 3 is 6
     loss = nc.square(x)
@@ -164,7 +165,7 @@ def test_grad_check_quadratic():
 def test_grad_check_rejects_bad_h():
     x = nc.param([[1.0]])
     with pytest.raises(ValueError):
-        nc.grad_check(lambda: nc.square(x), [x], h=1e-2)
+        grad_check(lambda: nc.square(x), [x], h=1e-2)
 
 
 def test_backward_visits_shared_subgraph_once():

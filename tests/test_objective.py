@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from motionloc import numcore as nc
 from motionloc import objective as obj
 from motionloc.numcore import DomainError, constant
@@ -31,7 +32,7 @@ def test_topk_hand_case():
     tcas = constant(np.array([[3.0], [1.0], [2.0], [0.0]]))
     agg = obj.aggregate_topk(tcas, r=2)
     assert agg.k == 2
-    assert agg.video_scores.item() == pytest.approx(2.5)
+    assert agg.video_scores.value.item() == pytest.approx(2.5)
     assert sorted(agg.topk_indices[0]) == [0, 2]
 
 
@@ -65,13 +66,13 @@ def test_xe_loss_values():
     # perfect single positive
     loss = obj.xe_loss(_agg_from_probs([1 - 4e-12, 1e-12, 1e-12, 1e-12, 1e-12]),
                        [1, 0, 0, 0, 0])
-    assert abs(loss.item()) < 1e-9
+    assert abs(loss.value.item()) < 1e-9
     # uniform over 5
     loss = obj.xe_loss(_agg_from_probs([0.2] * 5), [0, 0, 1, 0, 0])
-    assert loss.item() == pytest.approx(math.log(5), rel=1e-12)
+    assert loss.value.item() == pytest.approx(math.log(5), rel=1e-12)
     # two positives matched exactly: entropy of yhat
     loss = obj.xe_loss(_agg_from_probs([0.5, 0.5, 0.0 + 1e-12]), [1, 1, 0])
-    assert loss.item() == pytest.approx(math.log(2), rel=1e-9)
+    assert loss.value.item() == pytest.approx(math.log(2), rel=1e-9)
 
 
 def test_xe_loss_class_permutation_invariance():
@@ -84,7 +85,7 @@ def test_xe_loss_class_permutation_invariance():
         agg = obj.AggregationResult(
             video_scores=constant(s), probs=nc.softmax_rows(constant(s)),
             topk_indices=[[0]] * 6, k=1)
-        return obj.xe_loss(agg, y).item()
+        return obj.xe_loss(agg, y).value.item()
 
     assert loss_of(scores, label) == pytest.approx(
         loss_of(scores[perm], label[perm]), rel=1e-12)
@@ -128,11 +129,15 @@ def test_motion_guided_collapses_to_xe_at_mu_one():
         mu = constant(np.full((1, C), 1.0 - 1e-9))
         lg = obj.motion_guided_loss(agg, mu, label, LossConfig())
         la = obj.xe_loss(agg, label)
-        assert abs(lg.item() - la.item()) < 1e-6
+        assert abs(lg.value.item() - la.value.item()) < 1e-6
+
+
+def _surface_point(p, mu):
+    return obj.loss_surface([p], [mu])[0, 0]
 
 
 def test_surface_orderings_match_reference_points():
-    L = obj.surface_term
+    L = _surface_point
     assert L(0.1, 0.1) > L(0.9, 0.1) > L(0.9, 0.9)
     assert L(0.1, 0.1) == pytest.approx(-0.01 * math.log(0.1) - math.log(0.01))
     # decreasing along both axes over the default sampling box
@@ -150,7 +155,7 @@ def test_surface_gradient_sign_in_mu():
     for p in (0.05, 0.5, 0.99):
         for mu in (0.1, 0.5, 0.9):
             h = 1e-7
-            fd = (obj.surface_term(p, mu + h) - obj.surface_term(p, mu - h)) / (2 * h)
+            fd = (_surface_point(p, mu + h) - _surface_point(p, mu - h)) / (2 * h)
             sym = -2 * mu * math.log(p) - 2.0 / mu
             assert fd == pytest.approx(sym, rel=1e-5)
             assert (sym < 0) == (mu * mu * math.log(1.0 / p) < 1.0)
@@ -178,14 +183,14 @@ def test_regularizer_masks():
     main = -(mu_vals[0] ** 2 * yhat * np.log(p)).sum()
 
     full = obj.motion_guided_loss(agg, mu, label, LossConfig())
-    assert full.item() == pytest.approx(main - np.log(mu_vals[0] ** 2).sum())
+    assert full.value.item() == pytest.approx(main - np.log(mu_vals[0] ** 2).sum())
     pos = obj.motion_guided_loss(
         agg, mu, label, LossConfig(regularizer_mask="positive_only"))
     expect = main - np.log(mu_vals[0, 0] ** 2) - np.log(mu_vals[0, 2] ** 2)
-    assert pos.item() == pytest.approx(expect)
+    assert pos.value.item() == pytest.approx(expect)
     none = obj.motion_guided_loss(
         agg, mu, label, LossConfig(regularizer_mask="none"))
-    assert none.item() == pytest.approx(main)
+    assert none.value.item() == pytest.approx(main)
 
 
 def test_full_model_loss_gradcheck():
@@ -213,7 +218,7 @@ def test_full_model_loss_gradcheck():
             loss, _ = obj.per_video_loss(out, video.label, cfg)
             return loss
 
-        err = nc.grad_check(build, params.trainable(), h=1e-5)
+        err = grad_check(build, params.trainable(), h=1e-5)
         assert err < 1e-4, kind
 
 

@@ -170,7 +170,7 @@ class TestTraining:
         assert load_config(out / "config.json") == cfg
         restored = load_params(out / "checkpoint")
         for got, want in zip(restored.trainable(), params.trainable()):
-            assert np.allclose(got.value, want.value, atol=1e-6)
+            np.testing.assert_array_equal(got.value, want.value)
 
 
 class TestEvaluation:
