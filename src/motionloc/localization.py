@@ -32,7 +32,6 @@ class InferenceConfig:
     theta_c: float = 0.2
     theta_a_list: tuple = DEFAULT_THETA_A
     nms_iou: float = 0.7
-    normalize_tcas: bool = True
 
     def validate(self):
         if not 0.0 <= self.theta_c <= 1.0:
@@ -43,7 +42,7 @@ class InferenceConfig:
         if not ts:
             raise ValueError("theta_a_list must be non-empty")
         if any(not 0.0 <= t <= 1.0 for t in ts):
-            raise ValueError("theta_a values must be in [0,1]")
+            raise ValueError("theta_a_list values must be in [0,1]")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("theta_a_list must be strictly increasing")
 
@@ -69,31 +68,19 @@ def classify_video(tcas, r, theta_c):
 
 def _runs(mask):
     """Maximal [start, end] runs of True entries."""
-    out = []
-    start = None
-    for t, on in enumerate(mask):
-        if on and start is None:
-            start = t
-        elif not on and start is not None:
-            out.append((start, t - 1))
-            start = None
-    if start is not None:
-        out.append((start, len(mask) - 1))
-    return out
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
-def generate_proposals(scores, theta_a_list, cls, normalize=True):
-    """Threshold-sweep one class column into deduplicated proposals.
+def generate_proposals(scores, theta_a_list, cls):
+    """Sweep the min-max normalized class column into deduplicated proposals.
 
     Confidence is the mean of the raw (pre-normalization) scores inside
     the segment, so it stays comparable across classes.
     """
     raw = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if normalize:
-        lo, hi = raw.min(), raw.max()
-        norm = (raw - lo) / (hi - lo) if hi > lo else np.zeros_like(raw)
-    else:
-        norm = raw
+    lo, hi = raw.min(), raw.max()
+    norm = (raw - lo) / (hi - lo) if hi > lo else np.zeros_like(raw)
     segments = set()
     for theta in theta_a_list:
         segments.update(_runs(norm > theta))
@@ -119,7 +106,6 @@ def localize_video(tcas, r, cfg):
     scores = as_matrix(tcas, "tcas")
     out = []
     for c in classify_video(scores, r, cfg.theta_c):
-        props = generate_proposals(scores[:, c], cfg.theta_a_list, c,
-                                   normalize=cfg.normalize_tcas)
+        props = generate_proposals(scores[:, c], cfg.theta_a_list, c)
         out.extend(nms(props, cfg.nms_iou))
     return sorted(out, key=lambda p: (p.cls, p.start, p.end))

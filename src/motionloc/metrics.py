@@ -62,9 +62,8 @@ def average_precision(dets, gt_by_video, iou_threshold):
     precision = tp / (tp + fp)
     # precision envelope over recall, integrated at recall change points
     mrec = np.concatenate([[0.0], recall, [1.0]])
-    mpre = np.concatenate([[0.0], precision, [0.0]])
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(
+        np.concatenate([[0.0], precision, [0.0]])[::-1])[::-1]
     steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
 
@@ -101,7 +100,7 @@ class EvalReport:
                 w.writerow([f"kl_{name}", repr(self.kl[name])])
 
 
-def map_at(dets_by_class, gt_by_class, iou_list, avg_range=AVG_MAP_RANGE):
+def map_at(dets_by_class, gt_by_class, iou_list):
     """EvalReport over the requested thresholds plus the averaged range.
 
     Classes appear in the means only when they have ground truth; a class
@@ -112,7 +111,7 @@ def map_at(dets_by_class, gt_by_class, iou_list, avg_range=AVG_MAP_RANGE):
     if not classes:
         raise DomainError("no ground truth in any class")
     report = EvalReport()
-    thresholds = sorted(set(iou_list) | set(avg_range))
+    thresholds = sorted(set(iou_list) | set(AVG_MAP_RANGE))
     per_thr = {}
     for t in thresholds:
         aps = []
@@ -122,7 +121,7 @@ def map_at(dets_by_class, gt_by_class, iou_list, avg_range=AVG_MAP_RANGE):
             aps.append(ap)
         per_thr[t] = float(np.mean(aps))
     report.map = {t: per_thr[t] for t in sorted(set(iou_list))}
-    report.avg_map = float(np.mean([per_thr[t] for t in avg_range]))
+    report.avg_map = float(np.mean([per_thr[t] for t in AVG_MAP_RANGE]))
     return report
 
 

@@ -22,8 +22,6 @@ class GraphConfig:
     theta_pos: float = 0.1
     gamma: float = 0.6
     mode: str = "sparse"          # sparse | dense | mlp
-    row_normalize: bool = True
-    include_self: bool = True
     use_positional: bool = True   # ablation switches for the sparse mode
     use_semantic: bool = True
 
@@ -59,13 +57,10 @@ def _distance(T):
 
 
 def build_positional_edges(motion, cfg):
-    """Mask of ordered pairs (i,j) with |i-j|/T below the positional threshold."""
-    motion = as_matrix(motion, "motion")
-    T = motion.shape[0]
-    mask = (_distance(T) / T) < cfg.theta_pos
-    if not cfg.include_self:
-        np.fill_diagonal(mask, False)
-    return mask
+    """Mask of ordered pairs (i,j), self pairs included, with |i-j|/T below
+    the positional threshold."""
+    T = as_matrix(motion, "motion").shape[0]
+    return (_distance(T) / T) < cfg.theta_pos
 
 
 def _projections(motion, W1, W2):
@@ -92,14 +87,13 @@ def build_semantic_edges(motion, W1, W2, cfg):
     return qual | qual.T
 
 
-def build_adjacency(motion, mask, cfg):
-    """Raw-feature cosine weights where the edge mask is set, zero elsewhere."""
+def build_adjacency(motion, mask):
+    """Raw-feature cosine weights where the edge mask is set, zero elsewhere,
+    each row divided by its absolute sum (rows without weight stay zero)."""
     u = _unit_rows(as_matrix(motion, "motion"))
     G = np.where(mask, u @ u.T, 0.0)
-    if cfg.row_normalize:
-        sums = np.abs(G).sum(axis=1, keepdims=True)
-        G = G / np.where(sums > _TINY_ROW_SUM, sums, 1.0)
-    return G
+    sums = np.abs(G).sum(axis=1, keepdims=True)
+    return G / np.where(sums > _TINY_ROW_SUM, sums, 1.0)
 
 
 def build_dense_adjacency(motion, W1, W2):
@@ -133,7 +127,7 @@ def build_graph(motion, W1, W2, cfg):
     pos = build_positional_edges(motion, cfg) if cfg.use_positional else empty
     smt = build_semantic_edges(motion, W1, W2, cfg) if cfg.use_semantic else empty
     smt = smt & ~pos  # thresholds make these disjoint already; keep it structural
-    return MotionGraph(T, pos, smt, build_adjacency(motion, pos | smt, cfg))
+    return MotionGraph(T, pos, smt, build_adjacency(motion, pos | smt))
 
 
 def adjacency_mean_distance(adjacency):

@@ -22,7 +22,6 @@ MOTIONNESS_EPS = 1e-6
 @dataclass(frozen=True)
 class ModelConfig:
     k_layers: int = 2
-    gcn_relu: bool = True
     guidance_stream: str = "motion"   # motion | appearance | both
 
     def validate(self):
@@ -105,12 +104,12 @@ def base_forward(appearance, motion, params):
     return nc.relu(nc.conv3(embedded, params.cls.taps, params.cls.bias))
 
 
-def guidance_forward(features, adjacency, params, mcfg):
+def guidance_forward(features, adjacency, params):
     """Motionness (B x T x 1) from K graph-conv rounds plus shortcut.
 
     features is B x T x d, with one entry of adjacency per video. Each
-    round is X^k = G X^{k-1} W^k with the video's own adjacency G; None
-    entries (mlp mode) drop G entirely (X W^k per round).
+    round is X^k = relu(G X^{k-1} W^k) with the video's own adjacency G; None
+    entries (mlp mode) drop G entirely (relu(X W^k) per round).
     """
     x0 = constant(as_matrix(features, "guidance features", batched=True))
     if x0.value.ndim != 3 or len(adjacency) != x0.shape[0]:
@@ -120,9 +119,7 @@ def guidance_forward(features, adjacency, params, mcfg):
     propagated = adjacency[0] is not None
     x = x0
     for W in params.gcn:
-        x = (nc.propagate(adjacency, x) if propagated else x) @ W
-        if mcfg.gcn_relu:
-            x = nc.relu(x)
+        x = nc.relu((nc.propagate(adjacency, x) if propagated else x) @ W)
     x = nc.concat_cols(x, x0)
     return nc.clip(nc.sigmoid(nc.conv3(x, params.mot.taps, params.mot.bias)),
                    MOTIONNESS_EPS, 1.0 - MOTIONNESS_EPS)
@@ -148,7 +145,7 @@ def full_forward(videos, adjacency, params, mcfg):
     tcas = base_forward(np.stack([v.appearance for v in videos]),
                         np.stack([v.motion for v in videos]), params)
     feats = np.stack([guidance_features(v, mcfg) for v in videos])
-    motionness = guidance_forward(feats, adjacency, params, mcfg)
+    motionness = guidance_forward(feats, adjacency, params)
     return ForwardOutput(tcas=tcas, motionness=motionness)
 
 

@@ -475,23 +475,24 @@ def topk_mean_columns(a: DiffNode, k: int) -> tuple[DiffNode, np.ndarray]:
 # Adam
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second-moment accumulators plus the step counter."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
 
 
-def adam_init(params: Sequence[DiffNode], lr: float = 1e-4, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def adam_init(params: Sequence[DiffNode], lr: float = 1e-4) -> AdamState:
     return AdamState(
-        lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0,
+        lr=lr, step=0,
         m=[np.zeros_like(p.value) for p in params],
         v=[np.zeros_like(p.value) for p in params],
     )
@@ -507,16 +508,16 @@ def adam_step(params: Sequence[DiffNode], grads: Sequence[np.ndarray],
             raise NonFiniteError(f"non-finite gradient for parameter {i} "
                                  f"at step {state.step + 1}")
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g.shape != p.value.shape:
             raise ShapeMismatchError("adam_step: gradient shape mismatch")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
         mhat = m / c1
         vhat = v / c2
-        p.value -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        p.value -= state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     zero_grads(params)

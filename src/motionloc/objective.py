@@ -133,8 +133,8 @@ def per_video_loss(out, labels, cfg):
     return motion_guided_loss(agg, mu, labels, cfg), agg
 
 
-def loss_surface(p_grid, mu_grid, label=1.0):
-    """Single-class guided term L[i, j] = -mu^2 yhat log p - log mu^2.
+def loss_surface(p_grid, mu_grid):
+    """Single positive-class guided term L[i, j] = -mu^2 log p - log mu^2.
 
     Evaluated at p = p_grid[i] and mu = mu_grid[j]; one point (p, mu) is
     loss_surface([p], [mu])[0, 0].
@@ -143,7 +143,7 @@ def loss_surface(p_grid, mu_grid, label=1.0):
     mu = np.asarray(mu_grid, dtype=np.float64)[None, :]
     if np.any(p <= 0) or np.any(p >= 1) or np.any(mu <= 0) or np.any(mu >= 1):
         raise DomainError("grids must lie strictly inside (0, 1)")
-    return -(mu ** 2) * label * np.log(p) - np.log(mu ** 2)
+    return -(mu ** 2) * np.log(p) - np.log(mu ** 2)
 
 
 def default_surface_grids(n=50):

@@ -93,9 +93,12 @@ _SECTIONS = {
 
 
 def _fits(value, want):
-    # JSON has one number type: an int may stand for a float, never a bool
+    # JSON has one number type: an int may stand for a float, never a bool;
+    # NaN and the infinities stand for no setting
     if isinstance(value, bool):
         return want is bool
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
     return isinstance(value, (int, float) if want is float else want)
 
 
@@ -106,7 +109,8 @@ def _typed(value, want, where):
             return tuple(value)
     elif _fits(value, want):
         return value
-    expected = "a list of numbers" if want is tuple else want.__name__
+    expected = {tuple: "a list of finite numbers",
+                float: "a finite number"}.get(want, want.__name__)
     raise ConfigError(f"{where} must be {expected}, got {value!r}")
 
 
@@ -140,19 +144,6 @@ def config_from_dict(data, base=None):
     except ValueError as e:
         raise ConfigError(str(e)) from e
     return merged
-
-
-def config_to_dict(cfg):
-    out = {}
-    for name in _SECTIONS:
-        section = dataclasses.asdict(getattr(cfg, name))
-        for key, value in section.items():
-            if isinstance(value, tuple):
-                section[key] = list(value)
-        out[name] = section
-    out["eval_iou"] = list(cfg.eval_iou)
-    out["out_dir"] = cfg.out_dir
-    return out
 
 
 def load_config(path, base=None):
@@ -272,7 +263,7 @@ def train_experiment(cfg, log=None):
     write_loss_curve(out / "loss_curve.csv", curve)
     save_params(out / "checkpoint", params)
     (out / "config.json").write_text(
-        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
+        json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n")
     return params, curve, out
 
 
@@ -326,7 +317,7 @@ ABLATION_IOUS = (0.3, 0.4, 0.5, 0.7)
 
 
 def _cell_key(cfg):
-    data = config_to_dict(cfg)
+    data = dataclasses.asdict(cfg)
     data.pop("out_dir")
     return json.dumps(data, sort_keys=True)
 

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
+import dataclasses
 import json
+import math
 import typing
 
 import numpy as np
@@ -8,8 +10,7 @@ import numpy as np
 from motionloc.cli import main
 from motionloc.datagen import CorpusSpec, corpus_fingerprint, generate_corpus
 from motionloc.runner import (ExperimentConfig, config_from_dict,
-                              config_to_dict, evaluate_params,
-                              train_experiment)
+                              evaluate_params, train_experiment)
 
 TINY = {
     "corpus": {"n_train": 4, "n_test": 3},
@@ -168,6 +169,22 @@ class TestTrainEval:
         assert main(["eval", "--config", cfg]) == 2
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_eval_refuses_a_stale_checkpoint_config(self, tmp_path, capsys):
+        # a config.json from an older train may hold a key the schema has
+        # dropped; eval names it rather than guessing what it meant
+        run = tmp_path / "run"
+        assert main(["train", "--config",
+                     write_cfg(tmp_path, {"out_dir": str(run)})]) == 0
+        capsys.readouterr()
+        written = json.loads((run / "config.json").read_text())
+        written["graph"]["row_normalize"] = True
+        (run / "config.json").write_text(json.dumps(written))
+        assert main(["eval", "--checkpoint", str(run / "checkpoint"),
+                     "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "row_normalize" in err, err
+        assert "Traceback" not in err
+
     def test_train_bad_config_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{oops")
@@ -222,8 +239,10 @@ def _wrong_types(want):
         wrong += [True, False]
     if want is int:
         wrong += [2.5, [1]]
+    if want is float:
+        wrong += [math.nan, math.inf, -math.inf]
     if want is tuple:
-        wrong += [0.5, ["0.5"], [True]]
+        wrong += [0.5, ["0.5"], [True], [math.nan], [0.5, math.inf]]
     return wrong
 
 
@@ -241,7 +260,8 @@ def _fields():
 
 
 def _mutate(rng, data):
-    """Apply one random malformation to a config dict in place."""
+    """Apply one random malformation to a config dict in place; returns
+    the key it set, or None when an earlier mutation left no room."""
     kind = rng.integers(4)
     sections = [k for k, v in data.items() if isinstance(v, dict)]
     if kind == 0:                      # a value of the wrong type
@@ -261,20 +281,21 @@ def _mutate(rng, data):
         section, key = None, sections[rng.integers(len(sections))]
         value = [[], 3, "corpus", None, True][rng.integers(5)]
     target = data if section is None else data[section]
-    if isinstance(target, dict):       # else an earlier mutation broke it
-        target[key] = value
+    if not isinstance(target, dict):   # an earlier mutation broke it
+        return None
+    target[key] = value
+    return key
 
 
 class TestMalformedConfig:
     def test_random_malformations_exit_2(self, tmp_path, capsys):
         rng = np.random.default_rng(20240)
-        valid = config_to_dict(ExperimentConfig())
+        valid = dataclasses.asdict(ExperimentConfig())
         path = tmp_path / "cfg.json"
         commands = (["train"], ["eval"], ["ablate"], ["dump-graph"])
         for trial in range(400):
             data = json.loads(json.dumps(valid))
-            for _ in range(1 + rng.integers(2)):
-                _mutate(rng, data)
+            keys = [_mutate(rng, data) for _ in range(1 + rng.integers(2))]
             path.write_text(json.dumps(data))
             command = commands[trial % len(commands)]
             code = main([*command, "--config", str(path),
@@ -283,9 +304,27 @@ class TestMalformedConfig:
             assert code == 2, (trial, data)
             assert captured.err.startswith("error: "), (trial, captured.err)
             assert "Traceback" not in captured.err and not captured.out
-            # refused for the config itself, not for a missing checkpoint
+            # refused for the config itself, not for a missing checkpoint,
+            # and the message names a key that was set
             assert "no checkpoint" not in captured.err, (trial, data)
+            assert any(k in captured.err for k in keys if k), \
+                (trial, captured.err)
         assert not (tmp_path / "out").exists()
+
+    def test_every_wrong_type_names_its_key(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        for section, key, want in _fields():
+            where = key if section is None else f"{section}.{key}"
+            for value in _wrong_types(want):
+                data = ({key: value} if section is None
+                        else {section: {key: value}})
+                path.write_text(json.dumps(data))
+                code = main(["dump-graph", "--config", str(path),
+                             "--out", str(tmp_path / "adj.csv")])
+                err = capsys.readouterr().err
+                assert code == 2, (where, value)
+                assert err.startswith(f"error: {where} must be "), err
+        assert not (tmp_path / "adj.csv").exists()
 
 
 class TestAblate:

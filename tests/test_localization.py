@@ -32,11 +32,36 @@ def test_run_detection_hand_case():
 
 
 def test_all_below_threshold_is_empty():
-    props = loc.generate_proposals(np.array([0.1, 0.2, 0.15]), [0.5], cls=0,
-                                   normalize=False)
+    # a normalized column peaks at exactly 1.0 and the sweep is strict
+    props = loc.generate_proposals(np.array([0.1, 0.2, 0.15]), [1.0], cls=0)
     assert props == []
     # constant column normalizes to zero everywhere: nothing clears any theta
     assert loc.generate_proposals(np.full(6, 3.3), [0.0, 0.1], cls=0) == []
+
+
+def _runs_loop(mask):
+    """Reference runs of True entries, found one step at a time."""
+    out = []
+    start = None
+    for t, on in enumerate(mask):
+        if on and start is None:
+            start = t
+        elif not on and start is not None:
+            out.append((start, t - 1))
+            start = None
+    if start is not None:
+        out.append((start, len(mask) - 1))
+    return out
+
+
+def test_runs_matches_loop_oracle():
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        T = int(rng.integers(1, 70))
+        mask = rng.random(T) < rng.random()
+        got = loc._runs(mask)
+        assert got == _runs_loop(mask)
+        assert all(type(i) is int for run in got for i in run)
 
 
 def test_threshold_nesting_property():

@@ -133,6 +133,38 @@ def test_ap_random_against_oracle():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def _ap_from_flags(flags, npos):
+    """Reference AP from TP/FP flags, the precision envelope taken by a
+    backward loop."""
+    tp = np.cumsum([1.0 if f else 0.0 for f in flags])
+    fp = np.cumsum([0.0 if f else 1.0 for f in flags])
+    mrec = np.concatenate([[0.0], tp / npos, [1.0]])
+    mpre = np.concatenate([[0.0], tp / (tp + fp), [0.0]])
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
+    return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
+
+
+def test_ap_envelope_matches_loop_oracle():
+    """Random TP/FP sequences: a TP repeats the next unused gt segment, an
+    FP lies past all of them, confidences fall in list order."""
+    rng = np.random.default_rng(4)
+    for _ in range(1000):
+        n = int(rng.integers(1, 40))
+        flags = [bool(f) for f in rng.random(n) < rng.random()]
+        npos = sum(flags) + int(rng.integers(0 if any(flags) else 1, 5))
+        gt = {"v": [(10 * k, 10 * k + 4) for k in range(npos)]}
+        dets, k = [], 0
+        for i, f in enumerate(flags):
+            s = 10 * k if f else 10 * (npos + i)
+            k += f
+            dets.append(("v", _p(s, s + 4, 1.0 - i / 64)))
+        assert metrics._match_detections(dets, gt, 0.5) == flags
+        assert (metrics.average_precision(dets, gt, 0.5)
+                == _ap_from_flags(flags, npos))
+
+
 def test_ap_confidence_transform_invariance():
     gt = {"v": [(0, 4), (8, 12), (20, 27)]}
     dets = [("v", _p(0, 3, 0.2)), ("v", _p(9, 12, 0.5)),

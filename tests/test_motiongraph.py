@@ -34,14 +34,6 @@ def test_positional_edge_membership_t20():
     assert len(self_pairs) == 20
 
 
-def test_positional_without_self_edges():
-    motion = np.zeros((20, 4))
-    edges = _edge_set(mg.build_positional_edges(motion,
-                                                GraphConfig(include_self=False)))
-    assert all(i != j for i, j in edges)
-    assert len(edges) == 38
-
-
 def _planted(T, d, pairs):
     """Zero features except explicit row assignments in `pairs`."""
     m = np.zeros((T, d))
@@ -89,8 +81,7 @@ def test_semantic_symmetrized_with_asymmetric_projections():
 
 def test_adjacency_values_and_zero_pattern():
     m = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    cfg = GraphConfig(row_normalize=False)
-    G = mg.build_adjacency(m, _mask(3, {(0, 1), (1, 0)}), cfg)
+    G = mg.build_adjacency(m, _mask(3, {(0, 1), (1, 0)}))
     assert G[0, 1] == pytest.approx(1.0)
     assert G[1, 0] == pytest.approx(1.0)
     assert G[0, 2] == 0.0 and G[2, 2] == 0.0
@@ -98,8 +89,7 @@ def test_adjacency_values_and_zero_pattern():
 
 def test_adjacency_row_normalization():
     m = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    cfg = GraphConfig(row_normalize=True)
-    G = mg.build_adjacency(m, _mask(3, {(0, 0), (0, 1)}), cfg)
+    G = mg.build_adjacency(m, _mask(3, {(0, 0), (0, 1)}))
     np.testing.assert_allclose(G[0], [0.5, 0.5, 0.0])
     # rows without edges stay zero
     np.testing.assert_array_equal(G[2], 0.0)
@@ -107,8 +97,7 @@ def test_adjacency_row_normalization():
 
 def test_adjacency_zero_norm_feature_row():
     m = np.array([[0.0, 0.0], [1.0, 0.0]])
-    cfg = GraphConfig(row_normalize=False)
-    G = mg.build_adjacency(m, _mask(2, {(0, 1), (1, 0), (0, 0)}), cfg)
+    G = mg.build_adjacency(m, _mask(2, {(0, 1), (1, 0), (0, 0)}))
     np.testing.assert_array_equal(G[0], 0.0)
 
 
@@ -155,7 +144,7 @@ def test_graph_invariants_random_matrices():
         d = int(rng.integers(2, 8))
         theta = float(rng.uniform(0.05, 0.5))
         gamma = float(rng.uniform(-0.5, 0.95))
-        cfg = GraphConfig(theta_pos=theta, gamma=gamma, row_normalize=False)
+        cfg = GraphConfig(theta_pos=theta, gamma=gamma)
         m = rng.standard_normal((T, d))
         W1 = np.eye(d) + 0.05 * rng.standard_normal((d, d))
         W2 = np.eye(d) + 0.05 * rng.standard_normal((d, d))

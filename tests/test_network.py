@@ -16,9 +16,9 @@ def _adjacency_for(motion, params, cfg=None):
     return build_graph(motion, params.W1, params.W2, cfg).adjacency
 
 
-def _motionness(feats, adjacency, params, mcfg=MCFG):
+def _motionness(feats, adjacency, params):
     """guidance_forward on one video (a batch of one): T x 1 motionness."""
-    mu = net.guidance_forward(np.asarray(feats)[None], [adjacency], params, mcfg)
+    mu = net.guidance_forward(np.asarray(feats)[None], [adjacency], params)
     assert mu.shape == (1, len(feats), 1)
     return mu.value[0]
 
@@ -61,10 +61,10 @@ def test_stream_shape_mismatch_rejected():
         net.base_forward(np.zeros((8, 4)), np.zeros((8, 5)), params)
     # the guidance branch checks snippet counts against each adjacency
     with pytest.raises(ShapeMismatchError):
-        net.guidance_forward(np.zeros((1, 8, 4)), [np.eye(7)], params, MCFG)
+        net.guidance_forward(np.zeros((1, 8, 4)), [np.eye(7)], params)
     # and takes one adjacency per video
     with pytest.raises(ShapeMismatchError):
-        net.guidance_forward(np.zeros((2, 8, 4)), [np.eye(8)], params, MCFG)
+        net.guidance_forward(np.zeros((2, 8, 4)), [np.eye(8)], params)
 
 
 def test_motionness_zero_weights_is_half():
@@ -150,7 +150,7 @@ def test_guidance_stream_routing():
     mcfg = ModelConfig(guidance_stream="both")
     params = net.init_params(d=8, C=3, mcfg=mcfg, seed=12)
     g = build_graph(both, params.W1, params.W2, GraphConfig())
-    assert _motionness(both, g.adjacency, params, mcfg).shape == (64, 1)
+    assert _motionness(both, g.adjacency, params).shape == (64, 1)
 
 
 def test_full_forward_deterministic_and_differentiable():
@@ -173,21 +173,6 @@ def test_full_forward_deterministic_and_differentiable():
 
     err = grad_check(build_loss, params.trainable(), h=1e-5)
     assert err < 1e-4
-
-
-def test_gcn_relu_flag_linearizes_stack():
-    """Without inter-layer ReLU, two layers collapse to one product."""
-    mcfg = ModelConfig(k_layers=2, gcn_relu=False)
-    params = net.init_params(d=3, C=2, mcfg=mcfg, seed=15)
-    feats = np.random.default_rng(16).standard_normal((6, 3))
-    G = np.random.default_rng(17).standard_normal((6, 6))
-    x = nc.constant(feats[None])
-    for W in params.gcn:
-        x = nc.propagate([G], x) @ W
-    manual = x.value[0]
-    combined = G @ (G @ feats @ params.gcn[0].value) @ params.gcn[1].value
-    np.testing.assert_allclose(manual, combined, atol=1e-10)
-    assert _motionness(feats, G, params, mcfg).shape == (6, 1)
 
 
 def test_checkpoint_roundtrip(tmp_path):

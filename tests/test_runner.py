@@ -13,7 +13,7 @@ from motionloc.datagen import CorpusSpec, generate_corpus
 from motionloc.network import init_params, load_params
 from motionloc.runner import (ConfigError, ExperimentConfig, TrainConfig,
                               TrainingError,
-                              config_from_dict, config_to_dict, load_config,
+                              config_from_dict, load_config,
                               default_ablation_matrix, evaluate_params,
                               resolve_out, run_ablation, run_evaluation,
                               run_training, train_experiment,
@@ -38,7 +38,7 @@ def tiny_cfg(**extra):
 class TestConfig:
     def test_round_trip(self):
         cfg = tiny_cfg(graph={"mode": "dense"}, eval_iou=[0.5, 0.75])
-        again = config_from_dict(config_to_dict(cfg))
+        again = config_from_dict(dataclasses.asdict(cfg))
         assert again == cfg
 
     def test_partial_override_keeps_defaults(self):
@@ -67,7 +67,7 @@ class TestConfig:
         assert cfg.train.lr == 1 and cfg.eval_iou == (0.5, 1)
         assert cfg.inference.theta_a_list == (0, 0.5)
         for bad in ({"train": {"epochs": 2.0}}, {"train": {"batch_size": True}},
-                    {"graph": {"row_normalize": 1}}, {"graph": {"mode": 3}},
+                    {"graph": {"use_semantic": 1}}, {"graph": {"mode": 3}},
                     {"corpus": {"noise_sigma": "0.1"}}, {"eval_iou": 0.5},
                     {"eval_iou": [0.5, False]}, {"out_dir": 7}):
             with pytest.raises(ConfigError, match="must be"):
@@ -76,7 +76,7 @@ class TestConfig:
     def test_file_round_trip(self, tmp_path):
         cfg = tiny_cfg(out_dir="runs/x")
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config_to_dict(cfg)))
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
         assert load_config(path) == cfg
 
     def test_bad_json_reports_line(self, tmp_path):
