@@ -47,13 +47,14 @@ class InferenceConfig:
             raise ValueError("theta_a_list must be strictly increasing")
 
 
-def iou(a, b):
-    """Temporal IoU of two inclusive segments, treated as [s, e+1)."""
-    inter = min(a[1], b[1]) + 1 - max(a[0], b[0])
-    if inter <= 0:
-        return 0.0
-    union = (a[1] + 1 - a[0]) + (b[1] + 1 - b[0]) - inter
-    return inter / union
+def segment_iou(a, b):
+    """IoU matrix of inclusive segments a (n x 2) against b (m x 2), each
+    treated as [s, e+1); disjoint pairs score exactly 0."""
+    a = np.asarray(a).reshape(-1, 2)[:, None, :]
+    b = np.asarray(b).reshape(-1, 2)[None, :, :]
+    inter = np.minimum(a[..., 1], b[..., 1]) + 1 - np.maximum(a[..., 0], b[..., 0])
+    union = (a[..., 1] + 1 - a[..., 0]) + (b[..., 1] + 1 - b[..., 0]) - inter
+    return np.where(inter > 0, inter / union, 0.0)
 
 
 def classify_video(tcas, r, theta_c):
@@ -66,43 +67,56 @@ def classify_video(tcas, r, theta_c):
     return chosen or [int(np.argmax(p))]
 
 
-def _runs(mask):
-    """Maximal [start, end] runs of True entries."""
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
-    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
+def _runs(masks):
+    """Maximal [start, end] runs of True entries in each row of a 2-D mask
+    (a 1-D mask is one row): start and end arrays in row-major order."""
+    masks = np.atleast_2d(masks)
+    padded = np.zeros((masks.shape[0], masks.shape[1] + 2), dtype=bool)
+    padded[:, 1:-1] = masks
+    edges = np.nonzero(padded[:, 1:] != padded[:, :-1])[1]
+    return edges[::2], edges[1::2] - 1
 
 
 def generate_proposals(scores, theta_a_list, cls):
     """Sweep the min-max normalized class column into deduplicated proposals.
 
-    Confidence is the mean of the raw (pre-normalization) scores inside
-    the segment, so it stays comparable across classes.
+    All thresholds are swept in one mask; the union of their runs comes
+    out ordered by (start, end). Confidence is the mean of the raw
+    (pre-normalization) scores inside the segment, so it stays comparable
+    across classes.
     """
     raw = np.asarray(scores, dtype=np.float64).reshape(-1)
     lo, hi = raw.min(), raw.max()
     norm = (raw - lo) / (hi - lo) if hi > lo else np.zeros_like(raw)
-    segments = set()
-    for theta in theta_a_list:
-        segments.update(_runs(norm > theta))
-    return sorted(
-        (Proposal(s, e, cls, float(raw[s:e + 1].mean())) for s, e in segments),
-        key=lambda p: (p.start, p.end))
+    T = raw.size
+    starts, ends = _runs(norm > np.asarray(theta_a_list, dtype=np.float64)[:, None])
+    # ends < T, so start * T + end orders and identifies a segment
+    starts, ends = np.divmod(np.unique(starts * T + ends), T)
+    # a contiguous sum over n entries, divided by n, is ndarray.mean bit for bit
+    return [Proposal(s, e, cls, float(np.add.reduce(raw[s:e + 1]) / (e + 1 - s)))
+            for s, e in zip(starts.tolist(), ends.tolist())]
 
 
 def nms(proposals, iou_threshold):
     """Greedy suppression by descending confidence; ties keep the earlier start."""
     pending = sorted(proposals,
                      key=lambda p: (-p.confidence, p.start, p.end, p.cls))
+    segments = [p.segment() for p in pending]
+    clash = segment_iou(segments, segments) > iou_threshold
+    alive = np.ones(len(pending), dtype=bool)
     kept = []
-    for cand in pending:
-        if all(iou(cand.segment(), k.segment()) <= iou_threshold for k in kept):
+    for i, cand in enumerate(pending):
+        if alive[i]:
             kept.append(cand)
+            alive &= ~clash[i]
     return kept
 
 
 def localize_video(tcas, r, cfg):
-    """Full per-video inference: classify, sweep, suppress; sorted output."""
-    cfg.validate()
+    """Full per-video inference: classify, sweep, suppress; sorted output.
+
+    cfg is assumed validated.
+    """
     scores = as_matrix(tcas, "tcas")
     out = []
     for c in classify_video(scores, r, cfg.theta_c):

@@ -9,38 +9,75 @@ interpolation.
 
 import csv
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .localization import iou
+from .localization import segment_iou
 from .numcore import DomainError
 
 KL_EPS = 1e-8
 AVG_MAP_RANGE = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))  # 0.5 .. 0.95
 
 
-def _match_detections(dets, gt_by_video, iou_threshold):
-    """TP/FP flags in confidence order; each gt consumed at most once."""
+def _ranked(dets, gt_by_video):
+    """Detections in confidence order as (video_id, IoU row against that
+    video's gt), and each row's maximum (0 where the video has no gt)."""
     order = sorted(dets, key=lambda d: (-d[1].confidence, d[0],
                                         d[1].start, d[1].end))
+    by_video = defaultdict(list)
+    for i, (vid, _) in enumerate(order):
+        by_video[vid].append(i)
+    rows = [None] * len(order)
+    for vid, idx in by_video.items():
+        ious = segment_iou([order[i][1].segment() for i in idx],
+                           gt_by_video.get(vid, []))
+        for i, row in zip(idx, ious.tolist()):
+            rows[i] = (vid, row)
+    return rows, np.array([max(row, default=0.0) for _, row in rows])
+
+
+def _flags(ranked, gt_by_video, iou_threshold):
+    """TP flags in confidence order; each gt consumed at most once.
+
+    A detection takes the first strict IoU maximum among its video's
+    unused gt and is a TP when that clears the threshold; one whose best
+    IoU over all of its gt does not is an FP without any search.
+    """
+    rows, best = ranked
     used = {vid: [False] * len(segs) for vid, segs in gt_by_video.items()}
-    flags = []
-    for vid, prop in order:
-        segs = gt_by_video.get(vid, [])
-        best, best_iou = -1, 0.0
-        for g, seg in enumerate(segs):
-            if used[vid][g]:
-                continue
-            v = iou(prop.segment(), seg)
-            if v > best_iou:
-                best, best_iou = g, v
-        if best >= 0 and best_iou > iou_threshold:
-            used[vid][best] = True
-            flags.append(True)
-        else:
-            flags.append(False)
+    flags = np.zeros(len(rows), dtype=bool)
+    for i in np.flatnonzero(best > iou_threshold).tolist():
+        vid, row = rows[i]
+        taken = used.get(vid)
+        g_best, g_iou = -1, 0.0
+        for g, v in enumerate(row):
+            if v > g_iou and not taken[g]:
+                g_best, g_iou = g, v
+        if g_best >= 0 and g_iou > iou_threshold:
+            taken[g_best] = True
+            flags[i] = True
     return flags
+
+
+def _ap(flags, gt_by_video):
+    """All-points interpolated AP of TP flags in confidence order."""
+    npos = sum(len(v) for v in gt_by_video.values())
+    if npos == 0:
+        raise DomainError("average_precision needs at least one gt instance")
+    if not flags.size:
+        return 0.0
+    tp = np.cumsum(flags, dtype=np.float64)
+    fp = np.cumsum(~flags, dtype=np.float64)
+    recall = tp / npos
+    precision = tp / (tp + fp)
+    # precision envelope over recall, integrated at recall change points
+    mrec = np.concatenate([[0.0], recall, [1.0]])
+    mpre = np.maximum.accumulate(
+        np.concatenate([[0.0], precision, [0.0]])[::-1])[::-1]
+    steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
+    return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
 
 
 def average_precision(dets, gt_by_video, iou_threshold):
@@ -50,22 +87,8 @@ def average_precision(dets, gt_by_video, iou_threshold):
     of inclusive segments. Classes without ground truth have no defined
     AP (the caller excludes them from the mean).
     """
-    npos = sum(len(v) for v in gt_by_video.values())
-    if npos == 0:
-        raise DomainError("average_precision needs at least one gt instance")
-    flags = _match_detections(dets, gt_by_video, iou_threshold)
-    if not flags:
-        return 0.0
-    tp = np.cumsum([1.0 if f else 0.0 for f in flags])
-    fp = np.cumsum([0.0 if f else 1.0 for f in flags])
-    recall = tp / npos
-    precision = tp / (tp + fp)
-    # precision envelope over recall, integrated at recall change points
-    mrec = np.concatenate([[0.0], recall, [1.0]])
-    mpre = np.maximum.accumulate(
-        np.concatenate([[0.0], precision, [0.0]])[::-1])[::-1]
-    steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
-    return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
+    flags = _flags(_ranked(dets, gt_by_video), gt_by_video, iou_threshold)
+    return _ap(flags, gt_by_video)
 
 
 @dataclass
@@ -110,19 +133,19 @@ def map_at(dets_by_class, gt_by_class, iou_list):
                      if sum(len(v) for v in g.values()) > 0)
     if not classes:
         raise DomainError("no ground truth in any class")
-    report = EvalReport()
     thresholds = sorted(set(iou_list) | set(AVG_MAP_RANGE))
-    per_thr = {}
-    for t in thresholds:
-        aps = []
-        for c in classes:
-            ap = average_precision(dets_by_class.get(c, []), gt_by_class[c], t)
-            report.ap[(t, c)] = ap
-            aps.append(ap)
-        per_thr[t] = float(np.mean(aps))
-    report.map = {t: per_thr[t] for t in sorted(set(iou_list))}
-    report.avg_map = float(np.mean([per_thr[t] for t in AVG_MAP_RANGE]))
-    return report
+    aps = {}
+    for c in classes:
+        # one sort and one IoU row per detection serve every threshold
+        gt = gt_by_class[c]
+        ranked = _ranked(dets_by_class.get(c, []), gt)
+        aps.update({(t, c): _ap(_flags(ranked, gt, t), gt) for t in thresholds})
+    per_thr = {t: float(np.mean([aps[(t, c)] for c in classes]))
+               for t in thresholds}
+    return EvalReport(
+        ap={(t, c): aps[(t, c)] for t in thresholds for c in classes},
+        map={t: per_thr[t] for t in sorted(set(iou_list))},
+        avg_map=float(np.mean([per_thr[t] for t in AVG_MAP_RANGE])))
 
 
 def kl_guidance(motionness, gt_mask):

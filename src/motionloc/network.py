@@ -28,7 +28,8 @@ class ModelConfig:
         if self.k_layers < 1:
             raise ValueError(f"k_layers must be >= 1, got {self.k_layers}")
         if self.guidance_stream not in ("motion", "appearance", "both"):
-            raise ValueError(f"unknown guidance_stream {self.guidance_stream!r}")
+            raise ValueError("guidance_stream must be motion, appearance or both,"
+                             f" got {self.guidance_stream!r}")
 
     def guidance_width(self, d):
         return 2 * d if self.guidance_stream == "both" else d

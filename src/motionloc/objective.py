@@ -25,11 +25,13 @@ class LossConfig:
 
     def validate(self):
         if self.r < 1:
-            raise ValueError(f"selection ratio r must be >= 1, got {self.r}")
+            raise ValueError(f"r must be >= 1, got {self.r}")
         if self.regularizer_mask not in ("all_classes", "positive_only", "none"):
-            raise ValueError(f"unknown regularizer_mask {self.regularizer_mask!r}")
+            raise ValueError("regularizer_mask must be all_classes, positive_only"
+                             f" or none, got {self.regularizer_mask!r}")
         if self.loss_kind not in ("xe", "motion_guided"):
-            raise ValueError(f"unknown loss_kind {self.loss_kind!r}")
+            raise ValueError(
+                f"loss_kind must be xe or motion_guided, got {self.loss_kind!r}")
 
 
 @dataclass

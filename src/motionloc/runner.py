@@ -75,12 +75,12 @@ class ExperimentConfig:
     out_dir: str = "runs/default"
 
     def validate(self):
-        self.corpus.validate()
-        self.graph.validate()
-        self.model.validate()
-        self.loss.validate()
-        self.train.validate()
-        self.inference.validate()
+        # each section's message starts with its key; name the section too
+        for name in _SECTIONS:
+            try:
+                getattr(self, name).validate()
+            except ValueError as e:
+                raise ValueError(f"{name}.{e}") from e
         ious = list(self.eval_iou)
         if not ious or any(not 0.0 < t <= 1.0 for t in ious):
             raise ValueError("eval_iou must be non-empty with values in (0,1]")
@@ -191,6 +191,7 @@ def run_training(cfg, train_videos, log=None):
     over each shuffled mini-batch, tape by tape in video order, before a
     single Adam step. The result is bit for bit that of one tape per video.
     """
+    cfg.graph.validate()
     mcfg = cfg.model
     params = init_params(cfg.corpus.d, cfg.corpus.C, mcfg, cfg.train.seed)
     adjacency = [build_graph(guidance_features(v, mcfg), params.W1, params.W2,
@@ -227,20 +228,32 @@ def run_training(cfg, train_videos, log=None):
 
 
 def run_evaluation(cfg, params, videos):
-    """Inference + mAP + mean per-video KL for one parameter set."""
+    """Inference + mAP + mean per-video KL for one parameter set.
+
+    Videos are taken in order, in runs of equal length that TAPE_SNIPPETS
+    bounds as in training; each run gets one graph build and one forward.
+    The report is bit for bit that of one video at a time.
+    """
+    cfg.graph.validate()
+    cfg.inference.validate()
     mcfg = cfg.model
     dets_by_class = defaultdict(list)
     gt_by_class = defaultdict(lambda: defaultdict(list))
     kls = []
-    for video in videos:
-        graph = build_graph(guidance_features(video, mcfg), params.W1,
-                            params.W2, cfg.graph)
-        out = full_forward([video], [graph.adjacency], params, mcfg)
-        for prop in localize_video(out.tcas.value[0], cfg.loss.r, cfg.inference):
-            dets_by_class[prop.cls].append((video.id, prop))
-        kls.append(kl_guidance(out.motionness.value[0], video.gt_mask()))
-        for s, e, c in video.gt_intervals:
-            gt_by_class[c][video.id].append((s, e))
+    for run in _tapes(videos, range(len(videos))):
+        batch = [videos[i] for i in run]
+        graph = build_graph(np.stack([guidance_features(v, mcfg) for v in batch]),
+                            params.W1, params.W2, cfg.graph)
+        adjacency = (list(graph.adjacency) if graph.adjacency is not None
+                     else [None] * len(batch))
+        out = full_forward(batch, adjacency, params, mcfg)
+        for video, tcas, motionness in zip(batch, out.tcas.value,
+                                           out.motionness.value):
+            for prop in localize_video(tcas, cfg.loss.r, cfg.inference):
+                dets_by_class[prop.cls].append((video.id, prop))
+            kls.append(kl_guidance(motionness, video.gt_mask()))
+            for s, e, c in video.gt_intervals:
+                gt_by_class[c][video.id].append((s, e))
     gt = {c: dict(v) for c, v in gt_by_class.items()}
     report = map_at(dict(dets_by_class), gt, cfg.eval_iou)
     report.kl[mcfg.guidance_stream] = float(np.mean(kls))

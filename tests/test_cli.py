@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import typing
@@ -164,6 +165,26 @@ class TestTrainEval:
             assert (tmp_path / "cli" / name).read_bytes() == \
                 (tmp_path / "inproc" / name).read_bytes(), name
 
+    def test_golden_reports(self, tmp_path, capsys):
+        """CLI train -> eval on 24/12 videos for 5 epochs writes these
+        report.json bytes in each graph mode. Taken with numpy 2.4.6 and
+        OpenBLAS 0.3.31 on x86-64: another BLAS build may round the graph
+        and forward products differently and fail here with correct code."""
+        golden = {
+            "sparse": "9ab7664efec467784ddbec302a5e0e93d56a7e069c06298ae790498fa1a8057b",
+            "dense": "1dc38969fe9783dbe5ecbbf9596cef87fb7f50e32c42be90d7ad6f081f011138",
+            "mlp": "c9d29f31af91c9737acd175c2e3c44488acfaa45de15067d5bbe2229d4eb8731",
+        }
+        for mode, digest in golden.items():
+            run = tmp_path / mode
+            cfg = write_cfg(tmp_path, {"out_dir": str(run), "graph": {"mode": mode},
+                                       "corpus": {"n_train": 24, "n_test": 12},
+                                       "train": {"epochs": 5}})
+            assert main(["train", "--config", cfg]) == 0
+            assert main(["eval", "--config", cfg]) == 0
+            report = (run / "report.json").read_bytes()
+            assert hashlib.sha256(report).hexdigest() == digest, mode
+
     def test_eval_missing_checkpoint(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"out_dir": str(tmp_path / "nothing")})
         assert main(["eval", "--config", cfg]) == 2
@@ -324,6 +345,21 @@ class TestMalformedConfig:
                 err = capsys.readouterr().err
                 assert code == 2, (where, value)
                 assert err.startswith(f"error: {where} must be "), err
+        assert not (tmp_path / "adj.csv").exists()
+
+    def test_every_out_of_range_value_names_its_key(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        for (section, key), values in _OUT_OF_RANGE.items():
+            where = key if section is None else f"{section}.{key}"
+            for value in values:
+                data = ({key: value} if section is None
+                        else {section: {key: value}})
+                path.write_text(json.dumps(data))
+                code = main(["dump-graph", "--config", str(path),
+                             "--out", str(tmp_path / "adj.csv")])
+                err = capsys.readouterr().err
+                assert code == 2, (where, value)
+                assert err.startswith(f"error: {where} "), err
         assert not (tmp_path / "adj.csv").exists()
 
 

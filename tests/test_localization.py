@@ -5,11 +5,20 @@ from motionloc import localization as loc
 from motionloc.localization import InferenceConfig, Proposal
 
 
+def _iou(a, b):
+    return loc.segment_iou([a], [b])[0, 0]
+
+
 def test_iou_hand_cases():
-    assert loc.iou((0, 9), (5, 14)) == pytest.approx(5 / 15)
-    assert loc.iou((3, 7), (3, 7)) == 1.0
-    assert loc.iou((0, 4), (5, 9)) == 0.0
-    assert loc.iou((0, 0), (0, 0)) == 1.0
+    assert _iou((0, 9), (5, 14)) == pytest.approx(5 / 15)
+    assert _iou((3, 7), (3, 7)) == 1.0
+    assert _iou((0, 4), (5, 9)) == 0.0
+    assert _iou((0, 0), (0, 0)) == 1.0
+    # n x m: every pair, rows in the order of the first argument
+    np.testing.assert_array_equal(
+        loc.segment_iou([(0, 9), (20, 24)], [(5, 14), (0, 9), (30, 31)]),
+        [[5 / 15, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    assert loc.segment_iou([], [(0, 1)]).shape == (0, 1)
 
 
 def test_classify_dominant_and_fallback():
@@ -58,10 +67,13 @@ def test_runs_matches_loop_oracle():
     rng = np.random.default_rng(3)
     for _ in range(2000):
         T = int(rng.integers(1, 70))
-        mask = rng.random(T) < rng.random()
-        got = loc._runs(mask)
-        assert got == _runs_loop(mask)
-        assert all(type(i) is int for run in got for i in run)
+        masks = rng.random((int(rng.integers(1, 5)), T)) < rng.random()
+        # every row's runs, rows in order; a 1-D mask is one row
+        want = [run for mask in masks for run in _runs_loop(mask)]
+        starts, ends = loc._runs(masks)
+        assert list(zip(starts.tolist(), ends.tolist())) == want
+        starts, ends = loc._runs(masks[0])
+        assert list(zip(starts.tolist(), ends.tolist())) == _runs_loop(masks[0])
 
 
 def test_threshold_nesting_property():
@@ -124,11 +136,11 @@ def test_nms_brute_force_oracle():
         # antichain: no kept pair in conflict
         for i, p in enumerate(kept):
             for q in kept[i + 1:]:
-                assert loc.iou(p.segment(), q.segment()) <= thr
+                assert _iou(p.segment(), q.segment()) <= thr
         # every suppressed proposal conflicts with an earlier-ranked kept one
         for p in props:
             if p not in kept_set:
-                assert any(loc.iou(p.segment(), q.segment()) > thr
+                assert any(_iou(p.segment(), q.segment()) > thr
                            and rank[q] < rank[p] for q in kept)
         # determinism under the tie rule
         assert loc.nms(list(reversed(props)), thr) == kept

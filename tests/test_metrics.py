@@ -160,7 +160,8 @@ def test_ap_envelope_matches_loop_oracle():
             s = 10 * k if f else 10 * (npos + i)
             k += f
             dets.append(("v", _p(s, s + 4, 1.0 - i / 64)))
-        assert metrics._match_detections(dets, gt, 0.5) == flags
+        ranked = metrics._ranked(dets, gt)
+        assert metrics._flags(ranked, gt, 0.5).tolist() == flags
         assert (metrics.average_precision(dets, gt, 0.5)
                 == _ap_from_flags(flags, npos))
 

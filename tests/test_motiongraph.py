@@ -211,6 +211,33 @@ def test_mode_dispatch():
         mg.build_graph(m, W1, W2, GraphConfig(mode="attention"))
 
 
+def test_stacked_graph_equals_per_video_graphs():
+    """A B x T x d stack gets, video by video, the bytes of its own build."""
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        B, T, d = int(rng.integers(1, 5)), int(rng.integers(2, 90)), int(rng.integers(2, 9))
+        m = rng.standard_normal((B, T, d))
+        m[0, int(rng.integers(T))] = 0.0  # a zero-norm row
+        W1 = np.eye(d) + 0.05 * rng.standard_normal((d, d))
+        W2 = np.eye(d) + 0.05 * rng.standard_normal((d, d))
+        for cfg in (GraphConfig(theta_pos=float(rng.uniform(0.05, 0.5)),
+                                gamma=float(rng.uniform(-0.5, 0.9))),
+                    GraphConfig(use_positional=False, gamma=0.0),
+                    GraphConfig(use_semantic=False),
+                    GraphConfig(mode="dense"), GraphConfig(mode="mlp")):
+            stack = mg.build_graph(m, W1, W2, cfg)
+            assert stack.T == T and stack.pos_edges.shape == (B, T, T)
+            for b in range(B):
+                one = mg.build_graph(m[b], W1, W2, cfg)
+                for got, want in ((stack.pos_edges[b], one.pos_edges),
+                                  (stack.smt_edges[b], one.smt_edges)):
+                    assert got.tobytes() == want.tobytes()
+                if cfg.mode == "mlp":
+                    assert stack.adjacency is None and one.adjacency is None
+                else:
+                    assert stack.adjacency[b].tobytes() == one.adjacency.tobytes()
+
+
 def test_edge_ablation_switches():
     rng = np.random.default_rng(6)
     m = rng.standard_normal((30, 5))
