@@ -104,17 +104,28 @@ def _smoothed_noise(rng: np.random.Generator, T: int, d: int) -> np.ndarray:
 
 def _place_intervals(rng: np.random.Generator, T: int,
                      lengths: list[int]) -> list[int]:
-    """Sample non-overlapping starts by rejection; error after 100 attempts."""
+    """Non-overlapping starts: rejection sampling for 100 attempts, then
+    the intervals in a random order with the spare snippets split into
+    random gaps. Fails only when the lengths exceed T."""
+    if sum(lengths) > T:
+        raise GenerationError(
+            f"intervals of lengths {lengths} need {sum(lengths)} snippets, "
+            f"more than T={T}")
     for _ in range(100):
-        starts = [int(rng.integers(0, T - ln + 1)) if T >= ln else -1
-                  for ln in lengths]
-        if any(s < 0 for s in starts):
-            continue
+        starts = [int(rng.integers(0, T - ln + 1)) for ln in lengths]
         spans = sorted(zip(starts, lengths))
         if all(spans[i][0] + spans[i][1] <= spans[i + 1][0]
                for i in range(len(spans) - 1)):
             return starts
-    raise GenerationError(f"could not place intervals of lengths {lengths} in T={T}")
+    order = rng.permutation(len(lengths)).tolist()
+    cuts = np.sort(rng.integers(0, T - sum(lengths) + 1, size=len(lengths)))
+    gaps = np.diff(cuts, prepend=0).tolist()
+    starts = [0] * len(lengths)
+    pos = 0
+    for i, gap in zip(order, gaps):
+        starts[i] = pos + gap
+        pos = starts[i] + lengths[i]
+    return starts
 
 
 def _generate_video(spec: CorpusSpec, vid: str, rng: np.random.Generator,

@@ -1,11 +1,13 @@
 """Inference: video-level classification, thresholded runs, NMS.
 
-Scores arrive as a plain T x C array (no gradients at test time). Each
-predicted class's column is min-max normalized, swept over a threshold
-grid, and maximal above-threshold runs become proposals scored by the
-mean raw column value inside them.
+Scores arrive as a plain T x C array, or an N x T x C stack of videos of
+one length (no gradients at test time). Each predicted (video, class)
+column is min-max normalized, swept over a threshold grid, and maximal
+above-threshold runs become proposals scored by the mean raw column
+value inside them. Detections travel as one set of arrays throughout.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,15 +18,35 @@ from .objective import aggregate_topk
 DEFAULT_THETA_A = tuple(round(0.025 * i, 3) for i in range(11))  # 0 .. 0.25
 
 
-@dataclass(frozen=True)
-class Proposal:
-    start: int   # inclusive snippet indices
-    end: int
-    cls: int
-    confidence: float
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Equal-length 1-D arrays, one entry per detected segment."""
 
-    def segment(self):
-        return (self.start, self.end)
+    video: np.ndarray       # index into the evaluated (or stacked) videos
+    cls: np.ndarray
+    start: np.ndarray       # inclusive snippet indices
+    end: np.ndarray
+    confidence: np.ndarray
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            dtype = np.float64 if f.name == "confidence" else np.int64
+            object.__setattr__(self, f.name,
+                               np.asarray(getattr(self, f.name), dtype=dtype))
+
+    def __len__(self):
+        return self.confidence.size
+
+    def take(self, index):
+        """The detections at an index array or boolean mask, in its order."""
+        return Detections(*(getattr(self, f.name)[index]
+                            for f in dataclasses.fields(self)))
+
+    @staticmethod
+    def concat(parts):
+        return Detections(*(np.concatenate([getattr(p, f.name) for p in parts])
+                            if parts else ()
+                            for f in dataclasses.fields(Detections)))
 
 
 @dataclass(frozen=True)
@@ -47,79 +69,97 @@ class InferenceConfig:
             raise ValueError("theta_a_list must be strictly increasing")
 
 
-def segment_iou(a, b):
-    """IoU matrix of inclusive segments a (n x 2) against b (m x 2), each
-    treated as [s, e+1); disjoint pairs score exactly 0."""
-    a = np.asarray(a).reshape(-1, 2)[:, None, :]
-    b = np.asarray(b).reshape(-1, 2)[None, :, :]
-    inter = np.minimum(a[..., 1], b[..., 1]) + 1 - np.maximum(a[..., 0], b[..., 0])
-    union = (a[..., 1] + 1 - a[..., 0]) + (b[..., 1] + 1 - b[..., 0]) - inter
+def segment_iou(a_start, a_end, b_start, b_end):
+    """IoU of inclusive segments a and b, each treated as [s, e+1), with
+    the four index arrays broadcast against each other; disjoint pairs
+    score exactly 0. Column vectors of a against row vectors of b give
+    the n x m matrix."""
+    inter = np.minimum(a_end + 1, b_end + 1) - np.maximum(a_start, b_start)
+    union = (a_end + 1 - a_start) + (b_end + 1 - b_start) - inter
     return np.where(inter > 0, inter / union, 0.0)
-
-
-def classify_video(tcas, r, theta_c):
-    """Classes whose softmax top-k video score clears theta_c (argmax fallback).
-
-    The video score is the one training optimizes (objective.aggregate_topk).
-    """
-    p = aggregate_topk(constant(tcas), r).probs.value[0]
-    chosen = [c for c in range(p.size) if p[c] > theta_c]
-    return chosen or [int(np.argmax(p))]
 
 
 def _runs(masks):
     """Maximal [start, end] runs of True entries in each row of a 2-D mask
-    (a 1-D mask is one row): start and end arrays in row-major order."""
+    (a 1-D mask is one row): row, start and end arrays in row-major order."""
     masks = np.atleast_2d(masks)
     padded = np.zeros((masks.shape[0], masks.shape[1] + 2), dtype=bool)
     padded[:, 1:-1] = masks
-    edges = np.nonzero(padded[:, 1:] != padded[:, :-1])[1]
-    return edges[::2], edges[1::2] - 1
+    rows, edges = np.nonzero(padded[:, 1:] != padded[:, :-1])
+    return rows[::2], edges[::2], edges[1::2] - 1
 
 
-def generate_proposals(scores, theta_a_list, cls):
-    """Sweep the min-max normalized class column into deduplicated proposals.
+def generate_proposals(columns, theta_a_list, video, cls):
+    """Sweep each min-max normalized column of a P x T block into
+    deduplicated proposals; column p belongs to (video[p], cls[p]).
 
-    All thresholds are swept in one mask; the union of their runs comes
-    out ordered by (start, end). Confidence is the mean of the raw
-    (pre-normalization) scores inside the segment, so it stays comparable
-    across classes.
+    All columns and thresholds are swept in one mask; the union of their
+    runs comes out ordered by (column, start, end). Confidence is the mean
+    of the raw (pre-normalization) scores inside the segment, so it stays
+    comparable across classes.
     """
-    raw = np.asarray(scores, dtype=np.float64).reshape(-1)
-    lo, hi = raw.min(), raw.max()
-    norm = (raw - lo) / (hi - lo) if hi > lo else np.zeros_like(raw)
-    T = raw.size
-    starts, ends = _runs(norm > np.asarray(theta_a_list, dtype=np.float64)[:, None])
-    # ends < T, so start * T + end orders and identifies a segment
-    starts, ends = np.divmod(np.unique(starts * T + ends), T)
-    # a contiguous sum over n entries, divided by n, is ndarray.mean bit for bit
-    return [Proposal(s, e, cls, float(np.add.reduce(raw[s:e + 1]) / (e + 1 - s)))
-            for s, e in zip(starts.tolist(), ends.tolist())]
+    raw = np.asarray(columns, dtype=np.float64)
+    T = raw.shape[1]
+    lo = raw.min(axis=1, keepdims=True)
+    span = raw.max(axis=1, keepdims=True) - lo
+    norm = np.divide(raw - lo, span, out=np.zeros_like(raw), where=span > 0)
+    thetas = np.asarray(theta_a_list, dtype=np.float64)
+    rows, starts, ends = _runs((norm[:, None, :] > thetas[:, None]).reshape(-1, T))
+    # ends < T, so (column * T + start) * T + end orders and identifies a segment
+    key = np.unique((rows // thetas.size * T + starts) * T + ends)
+    column, start, end = key // (T * T), key // T % T, key % T
+    # a contiguous sum over n entries, divided by n, is ndarray.mean bit for
+    # bit; add.reduceat sums differently, so reduce the windows of each
+    # length n as the rows of one contiguous K x n block
+    length = end + 1 - start
+    by_length = np.argsort(length, kind="stable")
+    edges = np.flatnonzero(np.diff(length[by_length], prepend=0, append=T + 1))
+    first = column * T + start
+    confidence = np.empty(key.size)
+    for a, b in zip(edges.tolist(), edges[1:].tolist()):
+        at = by_length[a:b]
+        n = int(length[at[0]])
+        windows = raw.reshape(-1)[first[at, None] + np.arange(n)]
+        confidence[at] = np.add.reduce(windows, axis=-1) / n
+    return Detections(np.asarray(video)[column], np.asarray(cls)[column],
+                      start, end, confidence)
 
 
-def nms(proposals, iou_threshold):
-    """Greedy suppression by descending confidence; ties keep the earlier start."""
-    pending = sorted(proposals,
-                     key=lambda p: (-p.confidence, p.start, p.end, p.cls))
-    segments = [p.segment() for p in pending]
-    clash = segment_iou(segments, segments) > iou_threshold
-    alive = np.ones(len(pending), dtype=bool)
-    kept = []
-    for i, cand in enumerate(pending):
-        if alive[i]:
-            kept.append(cand)
-            alive &= ~clash[i]
-    return kept
+def nms(dets, iou_threshold):
+    """Greedy suppression within each (video, cls) pair by descending
+    confidence; ties keep the earlier start. The kept detections come
+    ordered by (video, cls, -confidence, start, end)."""
+    ranked = dets.take(np.lexsort((dets.end, dets.start, -dets.confidence,
+                                   dets.cls, dets.video)))
+    s, e = ranked.start, ranked.end
+    cuts = np.flatnonzero((np.diff(ranked.video) != 0) | (np.diff(ranked.cls) != 0))
+    bounds = [0, *(cuts + 1).tolist(), len(ranked)]
+    keep = np.zeros(len(ranked), dtype=bool)
+    for a, b in zip(bounds, bounds[1:]):
+        clash = segment_iou(s[a:b, None], e[a:b, None], s[a:b], e[a:b]) > iou_threshold
+        alive = np.ones(b - a, dtype=bool)
+        for i in range(b - a):
+            if alive[i]:
+                keep[a + i] = True
+                alive &= ~clash[i]
+    return ranked.take(keep)
 
 
 def localize_video(tcas, r, cfg):
-    """Full per-video inference: classify, sweep, suppress; sorted output.
+    """Inference over one T x C video or an N x T x C stack: classify,
+    sweep, suppress. Detections come ordered by (video, cls, start, end).
 
-    cfg is assumed validated.
+    A video's classes are those whose softmax top-k score (the one
+    training optimizes, objective.aggregate_topk) clears theta_c, or its
+    argmax when none does. cfg is assumed validated.
     """
-    scores = as_matrix(tcas, "tcas")
-    out = []
-    for c in classify_video(scores, r, cfg.theta_c):
-        props = generate_proposals(scores[:, c], cfg.theta_a_list, c)
-        out.extend(nms(props, cfg.nms_iou))
-    return sorted(out, key=lambda p: (p.cls, p.start, p.end))
+    scores = as_matrix(tcas, "tcas", batched=True)
+    stack = scores if scores.ndim == 3 else scores[None]
+    p = aggregate_topk(constant(stack), r).probs.value[:, 0, :]
+    chosen = p > cfg.theta_c
+    fallback = np.flatnonzero(~chosen.any(axis=1))
+    chosen[fallback, np.argmax(p[fallback], axis=1)] = True
+    video, cls = np.nonzero(chosen)
+    props = generate_proposals(stack[video, :, cls], cfg.theta_a_list, video, cls)
+    kept = nms(props, cfg.nms_iou)
+    return kept.take(np.lexsort((kept.end, kept.start, kept.cls, kept.video)))

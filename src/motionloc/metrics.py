@@ -1,15 +1,15 @@
 """Detection evaluation (AP / mAP over IoU thresholds) and the KL diagnostic.
 
-Detections are (video_id, Proposal) pairs pooled per class over the whole
-corpus; ground truth is a per-video list of inclusive segments. Matching
-is greedy in confidence order against the highest-IoU unmatched ground
-truth, and AP integrates the precision-recall curve with all-points
-interpolation.
+Detections arrive as one localization.Detections over the whole corpus,
+their `video` indexing a list of video ids; ground truth is a per-class,
+per-video-id list of inclusive segments, so videos that share an id
+share one ground-truth pool. Matching is greedy in confidence order
+against the highest-IoU unmatched ground truth, and AP integrates the
+precision-recall curve with all-points interpolation.
 """
 
 import csv
 import json
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,36 +21,40 @@ KL_EPS = 1e-8
 AVG_MAP_RANGE = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))  # 0.5 .. 0.95
 
 
-def _ranked(dets, gt_by_video):
-    """Detections in confidence order as (video_id, IoU row against that
-    video's gt), and each row's maximum (0 where the video has no gt)."""
-    order = sorted(dets, key=lambda d: (-d[1].confidence, d[0],
-                                        d[1].start, d[1].end))
-    by_video = defaultdict(list)
-    for i, (vid, _) in enumerate(order):
-        by_video[vid].append(i)
-    rows = [None] * len(order)
-    for vid, idx in by_video.items():
-        ious = segment_iou([order[i][1].segment() for i in idx],
-                           gt_by_video.get(vid, []))
-        for i, row in zip(idx, ious.tolist()):
-            rows[i] = (vid, row)
-    return rows, np.array([max(row, default=0.0) for _, row in rows])
+def _ranked(dets, video_ids, gt_by_video):
+    """One class's detections in confidence order as the rank of their
+    video id, their IoU rows against that id's gt, and each row's maximum.
+
+    Ties in confidence go to the smaller video id string, then the
+    earlier start, end and video index. Rows are padded to the largest
+    pool with the empty segment [0, -1], whose IoU is 0.
+    """
+    ids, id_rank = np.unique(np.array(video_ids, dtype=str), return_inverse=True)
+    pools = [list(gt_by_video.get(vid, [])) for vid in ids.tolist()]
+    width = max([1, *map(len, pools)])
+    gt = np.array([segs + [(0, -1)] * (width - len(segs)) for segs in pools],
+                  dtype=np.int64).reshape(ids.size, width, 2)
+    rank = id_rank[dets.video]
+    order = np.lexsort((dets.video, dets.end, dets.start, rank, -dets.confidence))
+    rank = rank[order]
+    ious = segment_iou(dets.start[order, None], dets.end[order, None],
+                       gt[rank, :, 0], gt[rank, :, 1])
+    return rank.tolist(), ious.tolist(), ious.max(axis=1)
 
 
-def _flags(ranked, gt_by_video, iou_threshold):
+def _flags(ranked, iou_threshold):
     """TP flags in confidence order; each gt consumed at most once.
 
-    A detection takes the first strict IoU maximum among its video's
+    A detection takes the first strict IoU maximum among its video id's
     unused gt and is a TP when that clears the threshold; one whose best
     IoU over all of its gt does not is an FP without any search.
     """
-    rows, best = ranked
-    used = {vid: [False] * len(segs) for vid, segs in gt_by_video.items()}
+    ranks, rows, best = ranked
+    used = {}
     flags = np.zeros(len(rows), dtype=bool)
     for i in np.flatnonzero(best > iou_threshold).tolist():
-        vid, row = rows[i]
-        taken = used.get(vid)
+        row = rows[i]
+        taken = used.setdefault(ranks[i], [False] * len(row))
         g_best, g_iou = -1, 0.0
         for g, v in enumerate(row):
             if v > g_iou and not taken[g]:
@@ -80,14 +84,15 @@ def _ap(flags, gt_by_video):
     return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
 
 
-def average_precision(dets, gt_by_video, iou_threshold):
+def average_precision(dets, video_ids, gt_by_video, iou_threshold):
     """All-points interpolated AP for one class.
 
-    dets: iterable of (video_id, Proposal); gt_by_video: video_id -> list
-    of inclusive segments. Classes without ground truth have no defined
-    AP (the caller excludes them from the mean).
+    dets: Detections of that class, dets.video indexing video_ids;
+    gt_by_video: video id -> list of inclusive segments. Classes without
+    ground truth have no defined AP (the caller excludes them from the
+    mean).
     """
-    flags = _flags(_ranked(dets, gt_by_video), gt_by_video, iou_threshold)
+    flags = _flags(_ranked(dets, video_ids, gt_by_video), iou_threshold)
     return _ap(flags, gt_by_video)
 
 
@@ -123,11 +128,12 @@ class EvalReport:
                 w.writerow([f"kl_{name}", repr(self.kl[name])])
 
 
-def map_at(dets_by_class, gt_by_class, iou_list):
+def map_at(dets, video_ids, gt_by_class, iou_list):
     """EvalReport over the requested thresholds plus the averaged range.
 
-    Classes appear in the means only when they have ground truth; a class
-    with gt but no detections contributes AP 0.
+    dets.video indexes video_ids. Classes appear in the means only when
+    they have ground truth; a class with gt but no detections
+    contributes AP 0.
     """
     classes = sorted(c for c, g in gt_by_class.items()
                      if sum(len(v) for v in g.values()) > 0)
@@ -138,8 +144,8 @@ def map_at(dets_by_class, gt_by_class, iou_list):
     for c in classes:
         # one sort and one IoU row per detection serve every threshold
         gt = gt_by_class[c]
-        ranked = _ranked(dets_by_class.get(c, []), gt)
-        aps.update({(t, c): _ap(_flags(ranked, gt, t), gt) for t in thresholds})
+        ranked = _ranked(dets.take(dets.cls == c), video_ids, gt)
+        aps.update({(t, c): _ap(_flags(ranked, t), gt) for t in thresholds})
     per_thr = {t: float(np.mean([aps[(t, c)] for c in classes]))
                for t in thresholds}
     return EvalReport(

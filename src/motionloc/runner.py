@@ -22,7 +22,7 @@ import numpy as np
 
 from . import numcore as nc
 from .datagen import CorpusSpec, generate_corpus
-from .localization import InferenceConfig, localize_video
+from .localization import Detections, InferenceConfig, localize_video
 from .metrics import kl_guidance, map_at
 from .motiongraph import GraphConfig, build_graph
 from .network import (ModelConfig, full_forward, guidance_features,
@@ -232,12 +232,14 @@ def run_evaluation(cfg, params, videos):
 
     Videos are taken in order, in runs of equal length that TAPE_SNIPPETS
     bounds as in training; each run gets one graph build and one forward.
+    Localization then runs once per clip length over the whole split.
     The report is bit for bit that of one video at a time.
     """
     cfg.graph.validate()
     cfg.inference.validate()
     mcfg = cfg.model
-    dets_by_class = defaultdict(list)
+    tcas_by_T = defaultdict(list)
+    index_by_T = defaultdict(list)
     gt_by_class = defaultdict(lambda: defaultdict(list))
     kls = []
     for run in _tapes(videos, range(len(videos))):
@@ -247,15 +249,20 @@ def run_evaluation(cfg, params, videos):
         adjacency = (list(graph.adjacency) if graph.adjacency is not None
                      else [None] * len(batch))
         out = full_forward(batch, adjacency, params, mcfg)
-        for video, tcas, motionness in zip(batch, out.tcas.value,
-                                           out.motionness.value):
-            for prop in localize_video(tcas, cfg.loss.r, cfg.inference):
-                dets_by_class[prop.cls].append((video.id, prop))
+        tcas_by_T[batch[0].T].append(out.tcas.value)
+        index_by_T[batch[0].T].extend(run)
+        for video, motionness in zip(batch, out.motionness.value):
             kls.append(kl_guidance(motionness, video.gt_mask()))
             for s, e, c in video.gt_intervals:
                 gt_by_class[c][video.id].append((s, e))
+    parts = []
+    for T, stacks in tcas_by_T.items():
+        dets = localize_video(np.concatenate(stacks), cfg.loss.r, cfg.inference)
+        index = np.asarray(index_by_T[T])
+        parts.append(dataclasses.replace(dets, video=index[dets.video]))
     gt = {c: dict(v) for c, v in gt_by_class.items()}
-    report = map_at(dict(dets_by_class), gt, cfg.eval_iou)
+    report = map_at(Detections.concat(parts), [v.id for v in videos], gt,
+                    cfg.eval_iou)
     report.kl[mcfg.guidance_stream] = float(np.mean(kls))
     return report
 

@@ -1,24 +1,44 @@
 """The one-video-at-a-time evaluation path, kept as an oracle.
 
 These are the loop implementations that the array code in
-`localization`, `metrics` and `runner.run_evaluation` replaced: a scalar
-IoU, a set of runs per threshold, greedy NMS against the kept list,
-a matcher that re-sorts and re-scores every detection per threshold,
-and one graph build and forward per video. The tests compare old and
+`localization`, `metrics` and `runner.run_evaluation` replaced: one
+Proposal object per segment, a scalar IoU, a set of runs per threshold,
+greedy NMS against the kept list, a matcher that re-sorts and re-scores
+every detection per threshold, and one graph build, forward and
+localization per video. The tests compare old and
 new with exact equality.
 
 Not collected by pytest (no test_ prefix); test modules import it as
 `import evaloracle`.
 """
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
-from motionloc.localization import Proposal, classify_video
 from motionloc.metrics import AVG_MAP_RANGE, EvalReport, kl_guidance
 from motionloc.motiongraph import build_graph
 from motionloc.network import full_forward, guidance_features
-from motionloc.numcore import DomainError, as_matrix
+from motionloc.numcore import DomainError, as_matrix, constant
+from motionloc.objective import aggregate_topk
+
+
+@dataclass(frozen=True)
+class Proposal:
+    start: int   # inclusive snippet indices
+    end: int
+    cls: int
+    confidence: float
+
+    def segment(self):
+        return (self.start, self.end)
+
+
+def classify_video(tcas, r, theta_c):
+    """Classes whose softmax top-k video score clears theta_c (argmax fallback)."""
+    p = aggregate_topk(constant(tcas), r).probs.value[0]
+    chosen = [c for c in range(p.size) if p[c] > theta_c]
+    return chosen or [int(np.argmax(p))]
 
 
 def iou(a, b):

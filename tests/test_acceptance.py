@@ -30,7 +30,7 @@ from motionloc import localization as loc
 from motionloc import metrics
 from motionloc import network as net
 from motionloc.datagen import SyntheticVideo, generate_corpus
-from motionloc.localization import Proposal
+from motionloc.localization import Detections
 from motionloc.motiongraph import (GraphConfig, adjacency_mean_distance,
                                    build_dense_adjacency, build_graph,
                                    build_positional_edges,
@@ -239,8 +239,7 @@ def _greedy_ap_oracle(dets, gt_by_video, thr):
         return Fraction(inter, union)
 
     thr = Fraction(thr).limit_denominator(10 ** 6)
-    order = sorted(dets, key=lambda dv: (-dv[1].confidence, dv[0],
-                                         dv[1].start, dv[1].end))
+    order = sorted(dets, key=lambda dv: (-dv[1][3], dv[0], dv[1][0], dv[1][1]))
     npos = sum(len(v) for v in gt_by_video.values())
     matched = set()
     flags = []
@@ -249,7 +248,7 @@ def _greedy_ap_oracle(dets, gt_by_video, thr):
         for g, seg in enumerate(gt_by_video.get(vid, [])):
             if (vid, g) in matched:
                 continue
-            s = fiou(prop.segment(), seg)
+            s = fiou(prop[:2], seg)
             if s > thr and s > best:
                 best_key, best = (vid, g), s
         if best_key is None:
@@ -270,7 +269,20 @@ def _greedy_ap_oracle(dets, gt_by_video, thr):
 
 
 def _iou(a, b):
-    return loc.segment_iou([a], [b])[0, 0]
+    return loc.segment_iou(a[0], a[1], b[0], b[1])
+
+
+def _detections(pairs):
+    """Detections and their video id list from (video_id, (start, end,
+    cls, confidence)) pairs; ids are numbered in order of first appearance."""
+    ids = list(dict.fromkeys(vid for vid, _ in pairs))
+    rows = [(ids.index(vid), c, s, e, conf) for vid, (s, e, c, conf) in pairs]
+    return Detections(*(zip(*rows) if rows else ((),) * 5)), ids
+
+
+def _rows(dets):
+    return list(zip(dets.start.tolist(), dets.end.tolist(), dets.cls.tolist(),
+                    dets.confidence.tolist()))
 
 
 def test_criterion_5_oracle_equivalences():
@@ -297,27 +309,27 @@ def test_criterion_5_oracle_equivalences():
         props = []
         for _ in range(n):
             s = int(rng.integers(0, 30))
-            props.append(Proposal(s, s + int(rng.integers(0, 12)), 0,
-                                  round(float(rng.random()), 2)))
+            props.append((s, s + int(rng.integers(0, 12)), 0,
+                          round(float(rng.random()), 2)))
         thr = float(rng.uniform(0.2, 0.9))
-        kept = loc.nms(props, thr)
-        order = sorted(props, key=lambda p: (-p.confidence, p.start,
-                                             p.end, p.cls))
+        kept = _rows(loc.nms(_detections([("v", p) for p in props])[0], thr))
+        order = sorted(props, key=lambda p: (-p[3], p[0], p[1], p[2]))
         rank = {p: i for i, p in enumerate(order)}
         kept_set = set(kept)
-        if any(_iou(p.segment(), q.segment()) > thr
+        if any(_iou(p, q) > thr
                for i, p in enumerate(kept) for q in kept[i + 1:]):
             problems.append(f"nms antichain trial {trial}")
-        if any(not any(_iou(p.segment(), q.segment()) > thr
+        if any(not any(_iou(p, q) > thr
                        and rank[q] < rank[p] for q in kept)
                for p in props if p not in kept_set):
             problems.append(f"nms coverage trial {trial}")
-        if loc.nms(list(reversed(props)), thr) != kept:
+        reversed_dets = _detections([("v", p) for p in reversed(props)])[0]
+        if _rows(loc.nms(reversed_dets, thr)) != kept:
             problems.append(f"nms order dependence trial {trial}")
 
     # hand-derived PR case: one high-confidence miss, one low-confidence hit
     hand = metrics.average_precision(
-        [("v", Proposal(0, 4, 0, 0.9)), ("v", Proposal(10, 19, 0, 0.1))],
+        *_detections([("v", (0, 4, 0, 0.9)), ("v", (10, 19, 0, 0.1))]),
         {"v": [(10, 19)]}, 0.5)
     if hand != 0.5:
         problems.append(f"hand case gave {hand!r}")
@@ -330,10 +342,10 @@ def test_criterion_5_oracle_equivalences():
     for size in (1, 2, 3):
         for combo in itertools.combinations(pool, size):
             for ranks in itertools.permutations(range(size)):
-                dets = [(vid, Proposal(s, e, 0, 0.9 - 0.2 * rk))
+                dets = [(vid, (s, e, 0, 0.9 - 0.2 * rk))
                         for (vid, (s, e)), rk in zip(combo, ranks)]
                 for thr in (0.4, 0.5, 0.75):
-                    got = metrics.average_precision(dets, gt, thr)
+                    got = metrics.average_precision(*_detections(dets), gt, thr)
                     want = float(_greedy_ap_oracle(dets, gt, thr))
                     worst_ap = max(worst_ap, abs(got - want))
     if worst_ap > 1e-12:

@@ -152,6 +152,28 @@ def test_interval_placement_failure_raises():
         datagen.generate_corpus(spec)
 
 
+def test_tight_layouts_that_fit_are_placed():
+    # rejection sampling alone gives up on [14, 16, 16] in T=48
+    train, test = datagen.generate_corpus(
+        CorpusSpec(n_train=14, n_test=1, T=48, seed=3))
+    for video in train + test:
+        spans = video.gt_intervals
+        assert all(0 <= s <= e < 48 for s, e, _ in spans)
+        assert all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
+    # the fallback packs exactly full layouts too
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        starts = datagen._place_intervals(rng, 46, [14, 16, 16])
+        spans = sorted(zip(starts, [14, 16, 16]))
+        assert spans[0][0] >= 0 and spans[-1][0] + spans[-1][1] <= 46
+        assert all(s + n <= t for (s, n), (t, _) in zip(spans, spans[1:]))
+
+
+def test_oversized_layout_names_lengths_and_T():
+    with pytest.raises(datagen.GenerationError, match=r"\[8, 8\].*T=8"):
+        datagen._place_intervals(np.random.default_rng(0), 8, [8, 8])
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         CorpusSpec(n_train=0).validate()

@@ -2,11 +2,26 @@ import numpy as np
 import pytest
 
 from motionloc import localization as loc
-from motionloc.localization import InferenceConfig, Proposal
+from motionloc.localization import Detections, InferenceConfig
 
 
 def _iou(a, b):
-    return loc.segment_iou([a], [b])[0, 0]
+    return loc.segment_iou(a[0], a[1], b[0], b[1])
+
+
+def _dets(rows):
+    """Detections from (start, end, cls, confidence) rows of video 0."""
+    s, e, c, conf = zip(*rows) if rows else ((),) * 4
+    return Detections([0] * len(rows), c, s, e, conf)
+
+
+def _rows(dets):
+    return list(zip(dets.start.tolist(), dets.end.tolist(), dets.cls.tolist(),
+                    dets.confidence.tolist()))
+
+
+def _propose(scores, thetas, cls=0):
+    return loc.generate_proposals(np.asarray(scores)[None], thetas, [0], [cls])
 
 
 def test_iou_hand_cases():
@@ -15,37 +30,45 @@ def test_iou_hand_cases():
     assert _iou((0, 4), (5, 9)) == 0.0
     assert _iou((0, 0), (0, 0)) == 1.0
     # n x m: every pair, rows in the order of the first argument
+    a = np.array([(0, 9), (20, 24)])
+    b = np.array([(5, 14), (0, 9), (30, 31)])
     np.testing.assert_array_equal(
-        loc.segment_iou([(0, 9), (20, 24)], [(5, 14), (0, 9), (30, 31)]),
+        loc.segment_iou(a[:, :1], a[:, 1:], b[:, 0], b[:, 1]),
         [[5 / 15, 1.0, 0.0], [0.0, 0.0, 0.0]])
-    assert loc.segment_iou([], [(0, 1)]).shape == (0, 1)
+    empty = np.zeros((0, 1), dtype=int)
+    assert loc.segment_iou(empty, empty, b[:1, 0], b[:1, 1]).shape == (0, 1)
+
+
+def _classes(tcas, theta_c):
+    dets = loc.localize_video(tcas, r=8, cfg=InferenceConfig(theta_c=theta_c))
+    return sorted(set(dets.cls.tolist()))
 
 
 def test_classify_dominant_and_fallback():
     T, C = 8, 5
-    tcas = np.zeros((T, C))
-    tcas[:, 2] = 5.0
-    assert loc.classify_video(tcas, r=8, theta_c=0.2) == [2]
+    ramp = np.arange(T, dtype=float)[:, None]   # every column has proposals
+    tcas = np.zeros((T, C)) + ramp
+    tcas[:, 2] += 5.0
+    assert _classes(tcas, 0.2) == [2]
     # uniform scores: p = 0.2 each, not > 0.2, argmax falls back to class 0
-    assert loc.classify_video(np.ones((T, C)), r=8, theta_c=0.2) == [0]
+    assert _classes(np.ones((T, C)) + ramp, 0.2) == [0]
     # degenerate threshold admits everything
-    assert loc.classify_video(np.ones((T, C)), r=8, theta_c=0.0) == [0, 1, 2, 3, 4]
+    assert _classes(np.ones((T, C)) + ramp, 0.0) == [0, 1, 2, 3, 4]
 
 
 def test_run_detection_hand_case():
     scores = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 1.0])
-    props = loc.generate_proposals(scores, [0.5], cls=3)
-    assert [(p.start, p.end) for p in props] == [(1, 2), (5, 5)]
-    assert all(p.cls == 3 for p in props)
-    assert all(p.confidence == pytest.approx(1.0) for p in props)
+    props = _propose(scores, [0.5], cls=3)
+    assert list(zip(props.start.tolist(), props.end.tolist())) == [(1, 2), (5, 5)]
+    assert props.cls.tolist() == [3, 3]
+    assert props.confidence.tolist() == [1.0, 1.0]
 
 
 def test_all_below_threshold_is_empty():
     # a normalized column peaks at exactly 1.0 and the sweep is strict
-    props = loc.generate_proposals(np.array([0.1, 0.2, 0.15]), [1.0], cls=0)
-    assert props == []
+    assert len(_propose(np.array([0.1, 0.2, 0.15]), [1.0])) == 0
     # constant column normalizes to zero everywhere: nothing clears any theta
-    assert loc.generate_proposals(np.full(6, 3.3), [0.0, 0.1], cls=0) == []
+    assert len(_propose(np.full(6, 3.3), [0.0, 0.1])) == 0
 
 
 def _runs_loop(mask):
@@ -70,9 +93,11 @@ def test_runs_matches_loop_oracle():
         masks = rng.random((int(rng.integers(1, 5)), T)) < rng.random()
         # every row's runs, rows in order; a 1-D mask is one row
         want = [run for mask in masks for run in _runs_loop(mask)]
-        starts, ends = loc._runs(masks)
+        rows, starts, ends = loc._runs(masks)
         assert list(zip(starts.tolist(), ends.tolist())) == want
-        starts, ends = loc._runs(masks[0])
+        assert rows.tolist() == [i for i, mask in enumerate(masks)
+                                 for _ in _runs_loop(mask)]
+        _, starts, ends = loc._runs(masks[0])
         assert list(zip(starts.tolist(), ends.tolist())) == _runs_loop(masks[0])
 
 
@@ -80,19 +105,20 @@ def test_threshold_nesting_property():
     rng = np.random.default_rng(0)
     for _ in range(50):
         scores = rng.random(30)
-        lo = loc.generate_proposals(scores, [0.3], cls=0)
-        hi = loc.generate_proposals(scores, [0.7], cls=0)
+        lo = _rows(_propose(scores, [0.3]))
+        hi = _rows(_propose(scores, [0.7]))
         for h in hi:
-            assert any(l.start <= h.start and h.end <= l.end for l in lo)
+            assert any(l[0] <= h[0] and h[1] <= l[1] for l in lo)
 
 
 def test_affine_transform_keeps_segments():
     rng = np.random.default_rng(1)
     scores = rng.random(40) * 5
     grid = [0.1, 0.4, 0.8]
-    base = loc.generate_proposals(scores, grid, cls=0)
-    moved = loc.generate_proposals(2.5 * scores + 7.0, grid, cls=0)
-    assert [(p.start, p.end) for p in base] == [(p.start, p.end) for p in moved]
+    base = _propose(scores, grid)
+    moved = _propose(2.5 * scores + 7.0, grid)
+    assert base.start.tolist() == moved.start.tolist()
+    assert base.end.tolist() == moved.end.tolist()
 
 
 def test_proposal_bounds_property():
@@ -100,23 +126,29 @@ def test_proposal_bounds_property():
     for _ in range(50):
         T = int(rng.integers(1, 40))
         scores = rng.standard_normal(T)
-        for p in loc.generate_proposals(scores, [0.0, 0.25, 0.5], cls=1):
-            assert 0 <= p.start <= p.end < T
+        props = _propose(scores, [0.0, 0.25, 0.5], cls=1)
+        assert np.all((0 <= props.start) & (props.start <= props.end)
+                      & (props.end < T))
 
 
 def test_nms_duplicates_and_disjoint():
-    a = Proposal(0, 5, 0, 0.9)
-    b = Proposal(0, 5, 0, 0.8)
-    assert loc.nms([a, b], 0.7) == [a]
-    c = Proposal(10, 15, 0, 0.5)
-    assert set(loc.nms([a, c], 0.7)) == {a, c}
+    a = (0, 5, 0, 0.9)
+    b = (0, 5, 0, 0.8)
+    assert _rows(loc.nms(_dets([a, b]), 0.7)) == [a]
+    c = (10, 15, 0, 0.5)
+    assert set(_rows(loc.nms(_dets([a, c]), 0.7))) == {a, c}
+    # another class or another video never suppresses
+    d = (0, 5, 1, 0.5)
+    assert set(_rows(loc.nms(_dets([a, d]), 0.7))) == {a, d}
+    two = Detections([0, 1], [0, 0], [0, 0], [5, 5], [0.9, 0.8])
+    assert loc.nms(two, 0.7).video.tolist() == [0, 1]
 
 
 def test_nms_tie_keeps_earlier_start():
-    a = Proposal(4, 9, 0, 0.5)
-    b = Proposal(2, 7, 0, 0.5)  # same confidence, earlier start, IoU 0.5
-    kept = loc.nms([a, b], 0.3)
-    assert kept == [b]
+    a = (4, 9, 0, 0.5)
+    b = (2, 7, 0, 0.5)  # same confidence, earlier start, IoU 0.5
+    kept = loc.nms(_dets([a, b]), 0.3)
+    assert _rows(kept) == [b]
 
 
 def test_nms_brute_force_oracle():
@@ -127,23 +159,23 @@ def test_nms_brute_force_oracle():
         for _ in range(n):
             s = int(rng.integers(0, 30))
             e = s + int(rng.integers(0, 12))
-            props.append(Proposal(s, e, 0, round(float(rng.random()), 2)))
+            props.append((s, e, 0, round(float(rng.random()), 2)))
         thr = float(rng.uniform(0.2, 0.9))
-        kept = loc.nms(props, thr)
-        order = sorted(props, key=lambda p: (-p.confidence, p.start, p.end, p.cls))
+        kept = _rows(loc.nms(_dets(props), thr))
+        order = sorted(props, key=lambda p: (-p[3], p[0], p[1], p[2]))
         rank = {p: i for i, p in enumerate(order)}
         kept_set = set(kept)
         # antichain: no kept pair in conflict
         for i, p in enumerate(kept):
             for q in kept[i + 1:]:
-                assert _iou(p.segment(), q.segment()) <= thr
+                assert _iou(p[:2], q[:2]) <= thr
         # every suppressed proposal conflicts with an earlier-ranked kept one
         for p in props:
             if p not in kept_set:
-                assert any(_iou(p.segment(), q.segment()) > thr
+                assert any(_iou(p[:2], q[:2]) > thr
                            and rank[q] < rank[p] for q in kept)
         # determinism under the tie rule
-        assert loc.nms(list(reversed(props)), thr) == kept
+        assert _rows(loc.nms(_dets(props[::-1]), thr)) == kept
 
 
 def test_localize_video_end_to_end():
@@ -151,12 +183,19 @@ def test_localize_video_end_to_end():
     tcas = np.zeros((T, C))
     tcas[2:6, 1] = 4.0
     tcas[10:12, 1] = 3.0
-    props = loc.localize_video(tcas, r=8, cfg=InferenceConfig())
+    props = _rows(loc.localize_video(tcas, r=8, cfg=InferenceConfig()))
     assert props
-    assert all(p.cls == 1 for p in props)
-    assert any((p.start, p.end) == (2, 5) for p in props)
+    assert all(p[2] == 1 for p in props)
+    assert any(p[:2] == (2, 5) for p in props)
     # deterministic ordering by (cls, start, end)
-    assert props == sorted(props, key=lambda p: (p.cls, p.start, p.end))
+    assert props == sorted(props, key=lambda p: (p[2], p[0], p[1]))
+    # a stack of videos: each video's detections, in video order
+    stack = np.stack([tcas, tcas[::-1], tcas])
+    dets = loc.localize_video(stack, r=8, cfg=InferenceConfig())
+    for v in range(3):
+        one = loc.localize_video(stack[v], r=8, cfg=InferenceConfig())
+        assert _rows(dets.take(dets.video == v)) == _rows(one)
+    assert dets.video.tolist() == sorted(dets.video.tolist())
 
 
 def test_inference_config_validation():

@@ -6,35 +6,54 @@ import numpy as np
 import pytest
 
 from motionloc import metrics
-from motionloc.localization import Proposal
+from motionloc.localization import Detections
 from motionloc.numcore import DomainError
 
 
 def _p(s, e, conf, cls=0):
-    return Proposal(s, e, cls, conf)
+    return (s, e, cls, conf)
+
+
+def _dets(pairs):
+    """Detections and their video id list from (video_id, (s, e, cls, conf))
+    pairs; ids are numbered in order of first appearance."""
+    ids = list(dict.fromkeys(vid for vid, _ in pairs))
+    rows = [(ids.index(vid), c, s, e, conf) for vid, (s, e, c, conf) in pairs]
+    return Detections(*(zip(*rows) if rows else ((),) * 5)), ids
+
+
+def _ap(pairs, gt, thr):
+    dets, ids = _dets(pairs)
+    return metrics.average_precision(dets, ids, gt, thr)
+
+
+def _map(dets_by_class, gt, iou_list):
+    dets, ids = _dets([pair for c in sorted(dets_by_class)
+                       for pair in dets_by_class[c]])
+    return metrics.map_at(dets, ids, gt, iou_list)
 
 
 def test_ap_perfect_detections():
     gt = {"v1": [(0, 4), (10, 14)], "v2": [(3, 6)]}
     dets = [("v1", _p(0, 4, 0.9)), ("v1", _p(10, 14, 0.8)),
             ("v2", _p(3, 6, 0.7))]
-    assert metrics.average_precision(dets, gt, 0.5) == 1.0
+    assert _ap(dets, gt, 0.5) == 1.0
 
 
 def test_ap_zero_detections():
-    assert metrics.average_precision([], {"v": [(0, 3)]}, 0.5) == 0.0
+    assert _ap([], {"v": [(0, 3)]}, 0.5) == 0.0
 
 
 def test_ap_requires_ground_truth():
     with pytest.raises(DomainError):
-        metrics.average_precision([("v", _p(0, 3, 0.5))], {"v": []}, 0.5)
+        _ap([("v", _p(0, 3, 0.5))], {"v": []}, 0.5)
 
 
 def test_ap_hand_case_half():
     """High-confidence miss then low-confidence hit: PR (0,0), (1, 0.5) -> 0.5."""
     gt = {"v": [(10, 19)]}
     dets = [("v", _p(0, 4, 0.9)), ("v", _p(10, 19, 0.1))]
-    assert metrics.average_precision(dets, gt, 0.5) == pytest.approx(0.5)
+    assert _ap(dets, gt, 0.5) == pytest.approx(0.5)
 
 
 def _oracle_ap(dets, gt_by_video, thr):
@@ -54,8 +73,7 @@ def _oracle_ap(dets, gt_by_video, thr):
         return Fraction(inter, (a[1] + 1 - a[0]) + (b[1] + 1 - b[0]) - inter)
 
     thr = Fraction(thr).limit_denominator(10**6)
-    order = sorted(dets, key=lambda d: (-d[1].confidence, d[0],
-                                        d[1].start, d[1].end))
+    order = sorted(dets, key=lambda d: (-d[1][3], d[0], d[1][0], d[1][1]))
     gt_keys = [(vid, g) for vid, segs in gt_by_video.items()
                for g in range(len(segs))]
     npos = len(gt_keys)
@@ -70,7 +88,7 @@ def _oracle_ap(dets, gt_by_video, thr):
         for (vid, prop), a in zip(order, assign):
             avail = [(v, g) for (v, g) in gt_keys
                      if v == vid and (v, g) not in matched]
-            scored = [((v, g), fiou(prop.segment(), gt_by_video[v][g]))
+            scored = [((v, g), fiou(prop[:2], gt_by_video[v][g]))
                       for (v, g) in avail]
             qualifying = [(key, s) for key, s in scored if s > thr]
             if not qualifying:
@@ -107,12 +125,12 @@ def test_ap_matches_exhaustive_oracle():
     gt = {"v1": [(0, 4), (10, 14)], "v2": [(2, 6)]}
     dets = [("v1", _p(0, 4, 0.9)), ("v2", _p(3, 7, 0.8)),
             ("v1", _p(11, 12, 0.7))]
-    got = metrics.average_precision(dets, gt, 0.5)
+    got = _ap(dets, gt, 0.5)
     want = _oracle_ap(dets, gt, 0.5)
     assert want == Fraction(2, 3)  # hand-derived for this scenario
     assert got == pytest.approx(float(want), abs=1e-12)
     # a second threshold flips the middle detection to FP
-    got = metrics.average_precision(dets, gt, 0.75)
+    got = _ap(dets, gt, 0.75)
     want = _oracle_ap(dets, gt, 0.75)
     assert got == pytest.approx(float(want), abs=1e-12)
 
@@ -128,7 +146,7 @@ def test_ap_random_against_oracle():
             e = s + int(rng.integers(0, 8))
             dets.append((vid, _p(s, e, round(float(rng.random()), 3))))
         thr = float(rng.choice([0.3, 0.5, 0.7]))
-        got = metrics.average_precision(dets, gt, thr)
+        got = _ap(dets, gt, thr)
         want = float(_oracle_ap(dets, gt, thr))
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -160,9 +178,9 @@ def test_ap_envelope_matches_loop_oracle():
             s = 10 * k if f else 10 * (npos + i)
             k += f
             dets.append(("v", _p(s, s + 4, 1.0 - i / 64)))
-        ranked = metrics._ranked(dets, gt)
-        assert metrics._flags(ranked, gt, 0.5).tolist() == flags
-        assert (metrics.average_precision(dets, gt, 0.5)
+        ranked = metrics._ranked(*_dets(dets), gt)
+        assert metrics._flags(ranked, 0.5).tolist() == flags
+        assert (_ap(dets, gt, 0.5)
                 == _ap_from_flags(flags, npos))
 
 
@@ -170,10 +188,9 @@ def test_ap_confidence_transform_invariance():
     gt = {"v": [(0, 4), (8, 12), (20, 27)]}
     dets = [("v", _p(0, 3, 0.2)), ("v", _p(9, 12, 0.5)),
             ("v", _p(15, 18, 0.8)), ("v", _p(21, 27, 0.4))]
-    base = metrics.average_precision(dets, gt, 0.5)
-    warped = [(v, Proposal(p.start, p.end, p.cls, math.exp(3 * p.confidence)))
-              for v, p in dets]
-    assert metrics.average_precision(warped, gt, 0.5) == pytest.approx(base)
+    base = _ap(dets, gt, 0.5)
+    warped = [(v, (s, e, c, math.exp(3 * conf))) for v, (s, e, c, conf) in dets]
+    assert _ap(warped, gt, 0.5) == pytest.approx(base)
 
 
 def test_map_monotone_in_iou_threshold():
@@ -183,7 +200,7 @@ def test_map_monotone_in_iou_threshold():
         dets = {c: [("v", _p(int(s), int(s + rng.integers(1, 12)),
                              float(rng.random()), c))
                     for s in rng.integers(0, 30, size=6)] for c in (0, 1)}
-        report = metrics.map_at(dets, gt, iou_list=[0.1, 0.3, 0.5, 0.7, 0.9])
+        report = _map(dets, gt, iou_list=[0.1, 0.3, 0.5, 0.7, 0.9])
         vals = [report.map[t] for t in sorted(report.map)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -191,11 +208,11 @@ def test_map_monotone_in_iou_threshold():
 def test_map_single_class_and_exclusion():
     gt = {0: {"v": [(0, 4)]}, 1: {"v": []}}  # class 1 has no gt anywhere
     dets = {0: [("v", _p(0, 4, 0.9))], 1: [("v", _p(7, 9, 0.8, 1))]}
-    report = metrics.map_at(dets, gt, iou_list=[0.5])
+    report = _map(dets, gt, iou_list=[0.5])
     assert report.map[0.5] == 1.0  # class 1 excluded, not averaged as 0
     assert (0.5, 1) not in report.ap
     thumos = [round(0.1 * i, 1) for i in range(1, 10)]
-    report = metrics.map_at(dets, gt, iou_list=thumos)
+    report = _map(dets, gt, iou_list=thumos)
     assert sorted(report.map) == thumos
     assert report.avg_map == pytest.approx(
         np.mean([report.ap[(t, 0)] for t in metrics.AVG_MAP_RANGE]))
@@ -227,7 +244,7 @@ def test_kl_properties():
 def test_report_serialization(tmp_path):
     gt = {0: {"v": [(0, 4)]}}
     dets = {0: [("v", _p(0, 4, 0.9))]}
-    report = metrics.map_at(dets, gt, iou_list=[0.5])
+    report = _map(dets, gt, iou_list=[0.5])
     report.kl["motion"] = 0.0123
     blob = report.to_json()
     parsed = json.loads(blob)
@@ -238,7 +255,7 @@ def test_report_serialization(tmp_path):
     text = out.read_text()
     assert "avg_map" in text and "kl_motion" in text
     # byte-determinism of both emissions
-    report2 = metrics.map_at(dets, gt, iou_list=[0.5])
+    report2 = _map(dets, gt, iou_list=[0.5])
     report2.kl["motion"] = 0.0123
     assert report2.to_json() == blob
     report2.write_csv(tmp_path / "report2.csv")
