@@ -110,7 +110,7 @@ def _place_intervals(rng: np.random.Generator, T: int,
     if sum(lengths) > T:
         raise GenerationError(
             f"intervals of lengths {lengths} need {sum(lengths)} snippets, "
-            f"more than T={T}")
+            f"more than corpus.T={T}")
     for _ in range(100):
         starts = [int(rng.integers(0, T - ln + 1)) for ln in lengths]
         spans = sorted(zip(starts, lengths))

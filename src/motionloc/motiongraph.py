@@ -103,6 +103,11 @@ def build_adjacency(motion, mask):
     """Raw-feature cosine weights where the edge mask is set, zero elsewhere,
     each row divided by its absolute sum (rows without weight stay zero)."""
     u = _unit_rows(as_matrix(motion, "motion", batched=True))
+    # u @ _swap(u) of one buffer goes to BLAS syrk; a gemm on a contiguous
+    # copy of u changes last bits at 296 of 424 (d, T, B) shapes, T = 63,
+    # 65, 100, 255 and 257 among them (numpy 2.4.6, OpenBLAS 0.3.31). The
+    # transposed-view gemm of the semantic and dense Grams is as fragile.
+    # tests/test_motiongraph.py pins the adjacency bytes.
     G = np.where(mask, u @ _swap(u), 0.0)
     sums = np.abs(G).sum(axis=-1, keepdims=True)
     return G / np.where(sums > _TINY_ROW_SUM, sums, 1.0)

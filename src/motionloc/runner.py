@@ -6,7 +6,8 @@ Training iterates shuffled mini-batches, runs each on as few batched
 tapes as TAPE_SNIPPETS allows, accumulates gradients in video order,
 and takes one Adam step per batch. The ablation driver reruns the
 pipeline over named config deltas and writes one CSV per table, caching
-cells whose resolved configs coincide.
+cells whose resolved configs coincide and training the distinct cells
+in worker processes.
 """
 
 import dataclasses
@@ -342,9 +343,57 @@ def _cell_key(cfg):
     return json.dumps(data, sort_keys=True)
 
 
+def _error_text(e):
+    return f"{type(e).__name__}: {e}"
+
+
+# Set only in a pool worker: the jobs of the ablation that forked it,
+# inherited with the process, so no corpus is pickled.
+_fork_jobs = None
+
+
+def _inherit_jobs(jobs):
+    global _fork_jobs
+    _fork_jobs = jobs
+
+
+def _train_cell(key):
+    """Pool worker: (params, None), or (None, the error text of the cell's row)."""
+    cfg, (train_videos, _) = _fork_jobs[key]
+    try:
+        return run_training(cfg, train_videos)[0], None
+    except Exception as e:  # the cell's row reports it; the matrix goes on
+        return None, _error_text(e)
+
+
+def _evaluate_cell(cfg, test_videos, trained):
+    """The cell's EvalReport, or the error text of its row."""
+    params, error = trained
+    if error:
+        return error
+    try:
+        return run_evaluation(cfg, params, test_videos)
+    except Exception as e:  # isolate the cell, keep the matrix alive
+        return _error_text(e)
+
+
+def _ablation_row(name, outcome):
+    failed = isinstance(outcome, str)
+    row = {"name": name, "error": outcome if failed else ""}
+    for t in ABLATION_IOUS:
+        row[f"map_{t}"] = None if failed else outcome.map.get(t)
+    row["avg_map"] = None if failed else outcome.avg_map
+    row["kl"] = None if failed else next(iter(outcome.kl.values()))
+    return row
+
+
 def run_ablation(base_cfg, matrix, out_dir, log=None):
     """Train/evaluate every cell; one CSV per table; cells cached by config.
 
+    The parent resolves the cells in table order and generates each
+    corpus once. Each distinct cell then trains in a forked worker, one
+    per CPU this process may use, while the parent evaluates and writes
+    the rows in cell order, so the tables are those of a serial run.
     A failing cell contributes an error row and the matrix continues.
     Returns {table: [row dict, ...]}.
     """
@@ -353,43 +402,56 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
     if "tables" not in matrix or not isinstance(matrix["tables"], dict):
         raise ConfigError("ablation matrix needs a 'tables' object")
     base = config_from_dict(matrix.get("base", {}), base=base_cfg)
-    cache = {}
     corpora = {}
-    results = {}
+    jobs = {}  # cell key -> (cfg, corpus), in the order cells first need them
+    plan = {}  # table -> [(name, cell key, None) or (name, None, error text)]
     for tname, cells in matrix["tables"].items():
-        rows = []
+        plan[tname] = []
         for cell in cells:
             if "name" not in cell:
                 raise ConfigError(f"cell in table {tname!r} lacks a name")
             name = cell["name"]
-            row = {"name": name, "error": ""}
             try:
                 cfg = config_from_dict(cell.get("overrides", {}), base=base)
                 key = _cell_key(cfg)
-                if key not in cache:
+                if key not in jobs:
                     ckey = json.dumps(dataclasses.asdict(cfg.corpus),
                                       sort_keys=True)
                     if ckey not in corpora:
                         corpora[ckey] = generate_corpus(cfg.corpus)
-                    train_videos, test_videos = corpora[ckey]
+                    jobs[key] = (cfg, corpora[ckey])
                     if log:
                         log(f"[{tname}/{name}] training")
-                    params, _ = run_training(cfg, train_videos)
-                    cache[key] = run_evaluation(cfg, params, test_videos)
-                report = cache[key]
-                for t in ABLATION_IOUS:
-                    row[f"map_{t}"] = report.map.get(t)
-                row["avg_map"] = report.avg_map
-                row["kl"] = next(iter(report.kl.values()))
+                plan[tname].append((name, key, None))
             except Exception as e:  # isolate the cell, keep the matrix alive
-                row["error"] = f"{type(e).__name__}: {e}"
-                for t in ABLATION_IOUS:
-                    row[f"map_{t}"] = None
-                row["avg_map"] = None
-                row["kl"] = None
-            rows.append(row)
-        results[tname] = rows
-        _write_ablation_csv(out / f"ablation_{tname}.csv", rows)
+                plan[tname].append((name, None, _error_text(e)))
+    # imported here: the pool's modules add 2 MB of RSS to every process
+    # that imports runner, and only an ablation uses them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: workers inherit the program and the corpora as loaded, where
+    # spawn and forkserver would re-import the caller's __main__
+    workers = min(len(os.sched_getaffinity(0)), len(jobs)) or 1
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_inherit_jobs, initargs=(jobs,))
+    try:
+        trained = {key: pool.submit(_train_cell, key) for key in jobs}
+        outcomes = {}
+        results = {}
+        for tname, planned in plan.items():
+            rows = []
+            for name, key, error in planned:
+                if key is not None and key not in outcomes:
+                    cfg, (_, test_videos) = jobs[key]
+                    outcomes[key] = _evaluate_cell(cfg, test_videos,
+                                                   trained[key].result())
+                rows.append(_ablation_row(name, error or outcomes[key]))
+            results[tname] = rows
+            _write_ablation_csv(out / f"ablation_{tname}.csv", rows)
+    finally:
+        pool.shutdown(cancel_futures=True)
     return results
 
 

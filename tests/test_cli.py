@@ -92,6 +92,13 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "corpus must be an object" in err and "Traceback" not in err
 
+    def test_oversized_layout_names_the_key(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"T": 12}))
+        assert main(["generate", "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert "more than corpus.T=12" in err and "Traceback" not in err
+
 
 class TestTrainEval:
     def test_train_then_eval(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -267,3 +268,30 @@ def test_config_validation():
                 GraphConfig(gamma=1.0), GraphConfig(mode="foo")):
         with pytest.raises(ValueError):
             bad.validate()
+
+
+def _pinned_graph_input(T):
+    rng = np.random.default_rng(T)
+    m = rng.standard_normal((2, T, 16))
+    W1 = np.eye(16) + 0.1 * rng.standard_normal((16, 16))
+    W2 = np.eye(16) + 0.1 * rng.standard_normal((16, 16))
+    return m, W1, W2
+
+
+# sha256 of the adjacency bytes of a seeded 2 x T x 16 stack. The Grams
+# go through BLAS, where the routine numpy picks (syrk for u @ u.T of one
+# buffer, gemm on transposed views) sets the last bits; see build_adjacency.
+PINNED_ADJACENCY = {
+    ("dense", 63): "2608808096edc71c15a447f8bf7f66c6e0e3f040faacbf8232e74064cd77f3b7",
+    ("dense", 100): "28392ae74126333b341d4d663f486cf1e0500cf1d7afe6a127dc7c9c918e65e5",
+    ("dense", 257): "935539bf6e20cddef5f5458f187a6aaafe664505ea5da49af5a7602f7c652c2a",
+    ("sparse", 63): "f1e4a4b0c635ce08b6e00f387972829dcda57e17cfbca4700645b75b124b04f8",
+    ("sparse", 100): "6826772251b62a7c4d448b712df58d3ff13e4b9b930325d8f913bc4eaad844ff",
+    ("sparse", 257): "c1795a8660e02be5f50736cbfd76eec83f24b8cdf3803953fa258cd7e860bb72",
+}
+
+
+@pytest.mark.parametrize("mode,T", sorted(PINNED_ADJACENCY))
+def test_adjacency_bytes_pinned(mode, T):
+    adjacency = mg.build_graph(*_pinned_graph_input(T), GraphConfig(mode=mode)).adjacency
+    assert hashlib.sha256(adjacency.tobytes()).hexdigest() == PINNED_ADJACENCY[mode, T]

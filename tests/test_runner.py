@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -234,23 +235,83 @@ class TestAblation:
         for rows in matrix["tables"].values():
             assert len(rows) == 5
 
-    def test_shared_cells_cached(self, tmp_path, monkeypatch):
-        import motionloc.runner as runner
-        calls = []
-        original = runner.run_training
-
-        def counting(cfg, videos, log=None):
-            calls.append(1)
-            return original(cfg, videos, log=log)
-
-        monkeypatch.setattr(runner, "run_training", counting)
+    def test_shared_cells_cached(self, tmp_path):
+        # cells train in worker processes, so count trainings by their log lines
         cfg = tiny_cfg()
         matrix = {"tables": {
             "t1": [{"name": "base"}],
             "t2": [{"name": "same_base"}],
         }}
-        runner.run_ablation(cfg, matrix, tmp_path)
-        assert len(calls) == 1
+        log = []
+        runner.run_ablation(cfg, matrix, tmp_path, log=log.append)
+        assert log == ["[t1/base] training"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rows_and_csvs_equal_serial_oracle(self, tmp_path):
+        cfg = tiny_cfg()
+        xe = {"loss": {"loss_kind": "xe"}}
+        matrix = {"tables": {
+            "t1": [{"name": "base"},
+                   {"name": "xe", "overrides": xe},
+                   {"name": "too_short", "overrides": {"corpus": {"T": 8}}},
+                   {"name": "diverges", "overrides": {"train": {"lr": 1e300}}}],
+            "t2": [{"name": "dense", "overrides": {"graph": {"mode": "dense"}}},
+                   {"name": "xe_again", "overrides": xe},
+                   {"name": "diverges_again",
+                    "overrides": {"train": {"lr": 1e300}}}],
+        }}
+        log = []
+        tables = run_ablation(cfg, matrix, tmp_path / "pool", log=log.append)
+        assert multiprocessing.active_children() == []
+        oracle = _serial_ablation(cfg, matrix)
+        assert tables == oracle
+        errors = [row["error"] for row in oracle["t1"]]
+        assert errors[0] == errors[1] == ""
+        assert errors[2].startswith("GenerationError: ")
+        assert errors[3].startswith("TrainingError: non-finite loss")
+        for tname, rows in oracle.items():
+            runner._write_ablation_csv(tmp_path / f"oracle_{tname}.csv", rows)
+            assert (tmp_path / "pool" / f"ablation_{tname}.csv").read_bytes() == \
+                (tmp_path / f"oracle_{tname}.csv").read_bytes()
+        # one training per distinct config that reaches training
+        assert log == ["[t1/base] training", "[t1/xe] training",
+                       "[t1/diverges] training", "[t2/dense] training"]
+
+    def test_no_worker_outlives_a_raise(self, tmp_path):
+        cfg = tiny_cfg()
+        matrix = {"tables": {
+            "t1": [{"name": "base"}],
+            "t2": [{"name": "dense", "overrides": {"graph": {"mode": "dense"}}}],
+        }}
+        (tmp_path / "ablation_t1.csv").mkdir()  # the first table cannot be written
+        with pytest.raises(IsADirectoryError):
+            run_ablation(cfg, matrix, tmp_path)
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "ablation_t2.csv").exists()
+
+
+def _serial_ablation(base_cfg, matrix):
+    """run_ablation's tables, one cell at a time: generate, train, evaluate."""
+    tables = {}
+    for tname, cells in matrix["tables"].items():
+        rows = []
+        for cell in cells:
+            row = {"name": cell["name"], "error": ""}
+            try:
+                cfg = config_from_dict(cell.get("overrides", {}), base=base_cfg)
+                train_videos, test_videos = generate_corpus(cfg.corpus)
+                params, _ = run_training(cfg, train_videos)
+                report = run_evaluation(cfg, params, test_videos)
+                values = [report.map.get(t) for t in runner.ABLATION_IOUS] + \
+                    [report.avg_map, next(iter(report.kl.values()))]
+            except Exception as e:
+                row["error"] = f"{type(e).__name__}: {e}"
+                values = [None] * (len(runner.ABLATION_IOUS) + 2)
+            keys = [f"map_{t}" for t in runner.ABLATION_IOUS] + ["avg_map", "kl"]
+            row.update(zip(keys, values))
+            rows.append(row)
+        tables[tname] = rows
+    return tables
 
 
 class TestValidation:
