@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numcore as nc
-from .numcore import DiffNode, ShapeMismatchError, as_matrix, constant, param
+from .numcore import DiffNode, ShapeMismatchError, as_matrix, param
 
 MOTIONNESS_EPS = 1e-6
 
@@ -100,7 +100,8 @@ def base_forward(appearance, motion, params):
             f"streams disagree: {appearance.shape} vs {motion.shape}")
     if appearance.shape[-2] < 1:
         raise ShapeMismatchError("need at least one snippet")
-    fused = constant(np.concatenate([appearance, motion], axis=-1))
+    # both streams were checked above; the concatenation needs no second check
+    fused = DiffNode(np.concatenate([appearance, motion], axis=-1), needs_grad=False)
     embedded = nc.relu(nc.conv3(fused, params.embed.taps, params.embed.bias))
     return nc.relu(nc.conv3(embedded, params.cls.taps, params.cls.bias))
 
@@ -112,7 +113,8 @@ def guidance_forward(features, adjacency, params):
     round is X^k = relu(G X^{k-1} W^k) with the video's own adjacency G; None
     entries (mlp mode) drop G entirely (relu(X W^k) per round).
     """
-    x0 = constant(as_matrix(features, "guidance features", batched=True))
+    x0 = DiffNode(as_matrix(features, "guidance features", batched=True),
+                  needs_grad=False)
     if x0.value.ndim != 3 or len(adjacency) != x0.shape[0]:
         raise ShapeMismatchError(
             f"need B x T x d features and B graphs, got {x0.shape} and "

@@ -4,18 +4,23 @@ Every value on the tape is a row-major float64 numpy array: a T x n
 matrix for one video, or a B x T x n stack with a leading video axis
 for a mini-batch. Ops act on the last two axes, so a stack behaves as B
 independent matrices. Parameters stay 2-D and broadcast across the
-video axis; their gradient is reduced per video and the slices are
-added in video order, so one tape over B videos accumulates exactly the
-bits that B one-video tapes would. Other broadcasting is limited to row
-vectors (1 x n) and column vectors (n x 1) as the second operand of
+video axis. A parameter's stacked gradient is reduced over the
+broadcast axes once for the whole stack, and its video slices are then
+added in video order by one ordered reduction, so one tape over B
+videos accumulates exactly the bits that B one-video tapes would, at a
+cost per tape rather than per video. Other broadcasting is limited to
+row vectors (1 x n) and column vectors (n x 1) as the second operand of
 `add` / `mul`; anything fancier is a shape error. Interior gradients
 exist only during `backward`, so a forward-only build allocates none.
-The networks built on top are tiny, so simplicity beats generality
+`adam_init` moves the parameters' values and gradients into one flat
+vector each, so zeroing, scaling, the finiteness check and the Adam
+update run once per step over one vector, not once per parameter. The
+networks built on top are tiny, so simplicity beats generality
 throughout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -122,6 +127,11 @@ def zero_grads(params: Sequence[DiffNode]) -> None:
 
 
 def _toposort(root: DiffNode) -> list[DiffNode]:
+    """The root and the nodes with a backward rule that it reaches.
+
+    Leaves and constant subgraphs run no rule and are not visited;
+    skipping a subgraph that holds no rule does not reorder the others.
+    """
     order: list[DiffNode] = []
     seen: set[int] = set()
     stack: list[tuple[DiffNode, bool]] = [(root, False)]
@@ -135,7 +145,7 @@ def _toposort(root: DiffNode) -> list[DiffNode]:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node.parents:
-            if id(parent) in seen:
+            if parent._rule is None or id(parent) in seen:
                 continue
             stack.append((parent, False))
     return order  # parents precede children
@@ -163,17 +173,29 @@ def backward(root: DiffNode) -> None:
 def _accumulate(node: DiffNode, g: np.ndarray) -> None:
     """node.grad += g, summed over the axes along which node was broadcast.
 
-    A 2-D node under a stacked gradient (a parameter) gets each video's
-    slice reduced on its own and added in video order. Summing the stack
-    in one call would group the additions differently and change the bits.
+    An interior node's first gradient is a copy of g. A 2-D node under a
+    stacked gradient (a parameter) has the whole stack reduced over its
+    broadcast axes at once, and the video slices are then added to its
+    gradient in video order by one reduction over the leading axis.
+    numpy reduces that axis element by element in order, except for a
+    one-element gradient, whose lone contiguous axis it would sum
+    pairwise; that one keeps the loop. Either way the bits are those of
+    `grad += slice` per video.
     """
+    g = _reduce_to(g, node.value.shape)
+    if g.ndim == node.value.ndim:
+        if node.grad is None:
+            node.grad = g.copy()
+        else:
+            node.grad += g
+        return
     if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    if g.ndim > node.grad.ndim:
+        node.grad = np.zeros(node.value.shape)
+    if node.grad.size == 1:
         for g_video in g:
-            node.grad += _reduce_to(g_video, node.grad.shape)
+            node.grad += g_video
     else:
-        node.grad += _reduce_to(g, node.grad.shape)
+        np.add.reduce(np.concatenate([node.grad[None], g]), axis=0, out=node.grad)
 
 
 def _swap(v: np.ndarray) -> np.ndarray:
@@ -349,12 +371,20 @@ def concat_cols(a: DiffNode, b: DiffNode) -> DiffNode:
 
 def _shift_rows(v: np.ndarray, offset: int) -> np.ndarray:
     """out[t] = v[t + offset] for offset -1 or +1, zero filled at each video's ends."""
-    out = np.zeros_like(v)
+    out = np.empty_like(v)
     if offset > 0:
         out[..., :-1, :] = v[..., 1:, :]
+        out[..., -1, :] = 0.0
     else:
         out[..., 1:, :] = v[..., :-1, :]
+        out[..., 0, :] = 0.0
     return out
+
+
+def _times_swap(g: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """g @ k^T. For a one-column k each entry is a single product, which
+    a broadcast multiply gives exactly, without a BLAS call per video."""
+    return g * _swap(k) if k.shape[-1] == 1 else g @ _swap(k)
 
 
 def conv3(x: DiffNode, taps: Sequence[DiffNode], bias: DiffNode) -> DiffNode:
@@ -363,9 +393,9 @@ def conv3(x: DiffNode, taps: Sequence[DiffNode], bias: DiffNode) -> DiffNode:
     y[t] = x[t-1] K_neg + x[t] K_0 + x[t+1] K_pos + b for taps
     (K_neg, K_0, K_pos). Backward recomputes the shifted inputs. The sums
     keep the grouping ((x[t-1] K_neg + x[t] K_0) + x[t+1] K_pos) + b, and
-    the input gradient adds its terms in the order (-1 tap, centre,
-    +1 tap), so the result matches a graph of separate shift, matmul
-    and add nodes bit for bit.
+    the input gradient groups its terms as (-1 tap + centre) + +1 tap,
+    so the result matches a graph of separate shift, matmul and add
+    nodes bit for bit.
     """
     k_neg, k_0, k_pos = taps
     if x.cols != k_0.rows:
@@ -379,10 +409,11 @@ def conv3(x: DiffNode, taps: Sequence[DiffNode], bias: DiffNode) -> DiffNode:
 
     def rule(g):
         if x.needs_grad:
-            gx = np.zeros_like(xv)
-            gx[..., :-1, :] += (g @ _swap(k_neg.value))[..., 1:, :]
-            gx += g @ _swap(k_0.value)
-            gx[..., 1:, :] += (g @ _swap(k_pos.value))[..., :-1, :]
+            # addition commutes: starting from the centre term gives the
+            # bits of (-1 tap + centre) + +1 tap
+            gx = _times_swap(g, k_0.value)
+            gx[..., :-1, :] += _times_swap(g, k_neg.value)[..., 1:, :]
+            gx[..., 1:, :] += _times_swap(g, k_pos.value)[..., :-1, :]
             _accumulate(x, gx)
         for k, offset in ((k_neg, -1), (k_0, 0), (k_pos, 1)):
             if k.needs_grad:
@@ -454,17 +485,18 @@ def topk_mean_columns(a: DiffNode, k: int) -> tuple[DiffNode, np.ndarray]:
     """
     if not 1 <= k <= a.rows:
         raise ShapeMismatchError(f"topk-mean: k={k} outside [1, {a.rows}]")
-    # stable sort of the negated column: ties go to the lower index
-    order = np.argsort(-a.value, axis=-2, kind="stable")[..., :k, :]
-    indices = np.ascontiguousarray(_swap(order))
+    # class-major copy, so each column is a contiguous row; a stable
+    # sort of its negation sends ties to the lower index
+    columns = np.ascontiguousarray(_swap(a.value))
+    indices = np.ascontiguousarray(np.argsort(-columns, axis=-1, kind="stable")[..., :k])
     # each column's picks contiguous, so the mean reduces the same k
     # values in the same order whatever the batch shape
-    picked = np.ascontiguousarray(_swap(np.take_along_axis(a.value, order, axis=-2)))
+    picked = np.take_along_axis(columns, indices, axis=-1)
     out = DiffNode(picked.mean(axis=-1)[..., None, :], (a,), "topk-mean")
 
     def rule(g):
-        ga = np.zeros_like(a.value)
-        np.put_along_axis(ga, order, g / k, axis=-2)
+        ga = np.zeros(a.shape)
+        np.put_along_axis(_swap(ga), indices, _swap(g) / k, axis=-1)
         _accumulate(a, ga)
 
     out._rule = rule if out.needs_grad else None
@@ -482,42 +514,54 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators plus the step counter."""
+    """Adam over one flat vector holding every parameter end to end.
 
-    lr: float = 1e-4
+    `value` and `grad` hold the parameters' entries and gradients in the
+    order adam_init was given them; each parameter's .value and .grad
+    are views of its slot, so the tape accumulates where Adam reads.
+    Slot i ends at `ends[i]`.
+    """
+
+    lr: float
+    value: np.ndarray
+    grad: np.ndarray
+    ends: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
 
 
 def adam_init(params: Sequence[DiffNode], lr: float = 1e-4) -> AdamState:
-    return AdamState(
-        lr=lr, step=0,
-        m=[np.zeros_like(p.value) for p in params],
-        v=[np.zeros_like(p.value) for p in params],
-    )
+    """Adam state for params, whose values and gradients move into its flat vectors."""
+    ends = np.cumsum([p.value.size for p in params])
+    value = np.concatenate([p.value.reshape(-1) for p in params])
+    grad = np.concatenate([p.grad.reshape(-1) for p in params])
+    for p, end in zip(params, ends):
+        shape, start = p.value.shape, end - p.value.size
+        p.value = value[start:end].reshape(shape)
+        p.grad = grad[start:end].reshape(shape)
+    return AdamState(lr=lr, value=value, grad=grad, ends=ends,
+                     m=np.zeros_like(value), v=np.zeros_like(value))
 
 
-def adam_step(params: Sequence[DiffNode], grads: Sequence[np.ndarray],
-              state: AdamState) -> None:
-    """Bias-corrected Adam update in place; parameter gradients are cleared."""
-    if len(params) != len(state.m) or len(params) != len(grads):
-        raise ShapeMismatchError("adam_step: parameter/gradient/state count mismatch")
-    for i, g in enumerate(grads):
-        if not np.isfinite(g).all():
-            raise NonFiniteError(f"non-finite gradient for parameter {i} "
-                                 f"at step {state.step + 1}")
+def adam_step(state: AdamState) -> None:
+    """One bias-corrected Adam update of every parameter from state.grad,
+    in place; the gradient is then cleared."""
+    g = state.grad
+    finite = np.isfinite(g)
+    if not finite.all():
+        i = int(np.searchsorted(state.ends, np.argmin(finite), side="right"))
+        raise NonFiniteError(f"non-finite gradient for parameter {i} "
+                             f"at step {state.step + 1}")
     state.step += 1
     c1 = 1.0 - ADAM_BETA1 ** state.step
     c2 = 1.0 - ADAM_BETA2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g.shape != p.value.shape:
-            raise ShapeMismatchError("adam_step: gradient shape mismatch")
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        mhat = m / c1
-        vhat = v / c2
-        p.value -= state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-    zero_grads(params)
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    mhat = m / c1
+    vhat = v / c2
+    state.value -= state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    g.fill(0.0)

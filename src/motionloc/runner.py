@@ -37,6 +37,9 @@ OUT_ROOT_ENV = "MOTIONLOC_OUT_ROOT"
 # snippets -> one tape per 16-video batch: train-short (T=64) 48.3 ->
 # 50.4 -> 52.8 MB, eval-long (its set-up trains at T=256) 72.9 -> 73.9
 # -> 88.3 MB. At 512, train-short kept 86% of the whole-batch speed.
+# With per-tape gradient sums and a flat Adam buffer, 1024 gave about 9%
+# more train-short, but peak RSS rose from 50.4 to 52.7 MB on
+# train-short, 54.6 to 57.3 on ablate-mix and 73.5 to 75.5 on eval-long.
 TAPE_SNIPPETS = 512
 
 
@@ -189,23 +192,23 @@ def run_training(cfg, train_videos, log=None):
 
     The curve holds one (epoch, mean per-video loss) pair per epoch.
     Each video's adjacency is built once up front; gradients accumulate
-    over each shuffled mini-batch, tape by tape in video order, before a
-    single Adam step. The result is bit for bit that of one tape per video.
+    over each shuffled mini-batch, tape by tape in video order, into
+    Adam's flat gradient vector, which is scaled by 1/|batch| and spent
+    by a single Adam step. The result is bit for bit that of one tape
+    per video.
     """
     cfg.graph.validate()
     mcfg = cfg.model
     params = init_params(cfg.corpus.d, cfg.corpus.C, mcfg, cfg.train.seed)
     adjacency = [build_graph(guidance_features(v, mcfg), params.W1, params.W2,
                              cfg.graph).adjacency for v in train_videos]
-    trainable = params.trainable()
-    state = nc.adam_init(trainable, lr=cfg.train.lr)
+    state = nc.adam_init(params.trainable(), lr=cfg.train.lr)
     shuffle = nc.split_rng(cfg.train.seed, 100)
     curve = []
     for epoch in range(cfg.train.epochs):
         order = shuffle.permutation(len(train_videos))
         epoch_losses = []
         for batch in _batches(order, cfg.train.batch_size):
-            nc.zero_grads(trainable)
             for tape in _tapes(train_videos, batch):
                 videos = [train_videos[i] for i in tape]
                 out = full_forward(videos, [adjacency[i] for i in tape],
@@ -219,8 +222,8 @@ def run_training(cfg, train_videos, log=None):
                             f"non-finite loss at epoch {epoch} on video {video.id}")
                 nc.backward(loss)
                 epoch_losses.extend(values)
-            grads = [p.grad / len(batch) for p in trainable]
-            nc.adam_step(trainable, grads, state)
+            state.grad /= len(batch)
+            nc.adam_step(state)
         curve.append((epoch, float(np.mean(epoch_losses))))
         if log and (epoch + 1) % 25 == 0:
             log(f"epoch {epoch + 1}/{cfg.train.epochs} "

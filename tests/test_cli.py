@@ -192,6 +192,35 @@ class TestTrainEval:
             report = (run / "report.json").read_bytes()
             assert hashlib.sha256(report).hexdigest() == digest, mode
 
+    def test_golden_training_bytes(self, tmp_path, capsys):
+        """CLI train for 2 epochs on the default corpus (200 videos of T=64,
+        batch 16, so each step runs two 8-video tapes) writes these
+        loss_curve.csv bytes and checkpoint blobs (one sha256 over the
+        .bin files in name order), with the guided loss and with xe.
+        Taken with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64: another
+        BLAS build may round the products differently and fail here with
+        correct code."""
+        golden = {
+            "motion_guided": (
+                "9e71fc8f5985c75d89ef142a0f203451881a27880abbf27d8c4c23095b7a857b",
+                "0b1d70017d244774e763ab909bf070b4eb237258320d5b18145d29ca62759377"),
+            "xe": (
+                "d920bae54b1d581fd0c4736ac56f3a2a8a1039a4a67116ba5915c3a13be71ffb",
+                "2aa8044457985d699f3fa1b27351c0e9d8031370d52bed92217c1b6e9313cf58"),
+        }
+        for kind, (curve, blobs) in golden.items():
+            run = tmp_path / kind
+            cfg = tmp_path / f"{kind}.json"
+            cfg.write_text(json.dumps({"out_dir": str(run), "train": {"epochs": 2},
+                                       "loss": {"loss_kind": kind}}))
+            assert main(["train", "--config", str(cfg)]) == 0
+            digest = hashlib.sha256((run / "loss_curve.csv").read_bytes())
+            assert digest.hexdigest() == curve, kind
+            digest = hashlib.sha256()
+            for path in sorted((run / "checkpoint").glob("*.bin")):
+                digest.update(path.read_bytes())
+            assert digest.hexdigest() == blobs, kind
+
     def test_eval_missing_checkpoint(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"out_dir": str(tmp_path / "nothing")})
         assert main(["eval", "--config", cfg]) == 2

@@ -179,7 +179,7 @@ def test_backward_visits_shared_subgraph_once():
 def test_adam_zero_gradient_keeps_parameters():
     p = nc.param([[1.0, -2.0]])
     state = nc.adam_init([p], lr=0.1)
-    nc.adam_step([p], [np.zeros_like(p.value)], state)
+    nc.adam_step(state)
     np.testing.assert_array_equal(p.value, [[1.0, -2.0]])
     assert state.step == 1
 
@@ -187,8 +187,8 @@ def test_adam_zero_gradient_keeps_parameters():
 def test_adam_first_step_is_signed_lr():
     p = nc.param([[1.0, 1.0]])
     state = nc.adam_init([p], lr=0.1)
-    g = np.array([[0.5, -3.0]])
-    nc.adam_step([p], [g], state)
+    p.grad[...] = [[0.5, -3.0]]
+    nc.adam_step(state)
     # first-step bias correction gives mhat/sqrt(vhat) = sign(g)
     np.testing.assert_allclose(p.value, [[1.0 - 0.1, 1.0 + 0.1]], rtol=1e-6)
 
@@ -208,7 +208,8 @@ def test_adam_matches_independent_scalar_recursion():
         x -= 0.1 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
         trace.append(x)
 
-        nc.adam_step([p], [2.0 * p.value], state)
+        p.grad[...] = 2.0 * p.value
+        nc.adam_step(state)
         ours.append(p.value[0, 0])
 
     np.testing.assert_allclose(ours, trace, rtol=1e-9, atol=1e-12)
@@ -227,8 +228,63 @@ def test_adam_matches_independent_scalar_recursion():
 def test_adam_aborts_on_non_finite_gradient():
     p = nc.param([[1.0]])
     state = nc.adam_init([p])
+    p.grad[...] = np.nan
     with pytest.raises(nc.NonFiniteError):
-        nc.adam_step([p], [np.array([[np.nan]])], state)
+        nc.adam_step(state)
+
+
+def test_adam_flat_buffer_names_the_poisoned_parameter():
+    """A bad entry anywhere in a parameter's slot of the flat gradient
+    names that parameter's index in ModelParams.trainable()."""
+    from motionloc.network import ModelConfig, init_params
+    trainable = init_params(4, 3, ModelConfig(), seed=0).trainable()
+    state = nc.adam_init(trainable)
+    values = [p.value.copy() for p in trainable]
+    for p in trainable:
+        assert np.shares_memory(p.value, state.value)
+        assert np.shares_memory(p.grad, state.grad)
+    start = 0
+    for i, p in enumerate(trainable):
+        for slot, bad in ((start, np.nan), (start + p.value.size - 1, np.inf)):
+            state.grad[slot] = bad
+            with pytest.raises(nc.NonFiniteError,
+                               match=rf"^non-finite gradient for parameter {i} at step 1$"):
+                nc.adam_step(state)
+            state.grad[slot] = 0.0
+        start += p.value.size
+    assert start == state.grad.size
+    # two bad parameters: the first is named; nothing moved meanwhile
+    trainable[9].grad[0, 0] = -np.inf
+    trainable[4].grad[-1, -1] = np.nan
+    with pytest.raises(nc.NonFiniteError, match="parameter 4 at step 1"):
+        nc.adam_step(state)
+    assert state.step == 0
+    for p, v in zip(trainable, values):
+        np.testing.assert_array_equal(p.value, v)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (5, 3)])
+def test_stacked_parameter_gradient_adds_videos_in_order(shape):
+    """Each video's slice lands on a parameter as `grad += slice`, in
+    video order, after any gradient an earlier tape left there.
+
+    Slices span twelve decades, so a sum in any other grouping (numpy's
+    pairwise sum, say) changes the bits. Each tape is constant(X) @ p
+    with X_b the identity, read out by R_b, so video b sends exactly
+    R_b to p.
+    """
+    rng = nc.split_rng(11, 6, *shape)
+    n, m = shape
+    for B in (1, 7, 8, 9, 16):
+        p = nc.param(np.zeros(shape))
+        want = np.zeros(shape)
+        for tape in range(2):  # the second tape adds to a running gradient
+            R = rng.standard_normal((B, n, m)) * 10.0 ** rng.integers(-6, 6, (B, n, m))
+            x = nc.constant(np.broadcast_to(np.eye(n), (B, n, n)))
+            nc.backward(nc.sum_all(nc.mul(nc.matmul(x, p), nc.constant(R))))
+            for r in R:
+                want += r
+            assert p.grad.tobytes() == want.tobytes(), (B, tape)
 
 
 def test_split_rng_is_deterministic_and_splits():

@@ -1,12 +1,14 @@
-"""The benchmark's traced run still sees every span and every proposal.
+"""The benchmark's traced run still sees every span, proposal and tape op.
 
 `perfbench/run.py --trace 1` wraps functions by module global
 (`runner.localize_video`, `runner.map_at`, `localization.generate_proposals`,
-`localization.nms`) and counts proposals with len() of what the last two
-return. A renamed global or a result whose len() is not its proposal
-count breaks the trace without failing anything else, so this runs the
-traced benchmark for one op on each evaluating workload and pins the
-proposal counts measured before the array evaluation path existed.
+`localization.nms`, `numcore.backward`, `numcore.adam_step`), counts
+proposals with len() of what the last two return, and takes a census of
+each training tape through `DiffNode.parents`. A renamed global, a result
+whose len() is not its proposal count or a tape of other nodes breaks the
+trace without failing anything else, so this runs the traced benchmark
+for one op on each workload and pins the counts measured before the
+array evaluation path and the flat Adam buffer existed.
 """
 
 import json
@@ -25,9 +27,32 @@ PINNED = {
     "ablate-mix": (10100, 7700),
 }
 
+# train-short, seed 1: 500 tapes of 8 videos and 260 Adam steps per op,
+# and the tape's nodes per op name (conv3 and propagate are not reported)
+TRAINING = {
+    "numcore.backward.calls": 500,
+    "numcore.adam_step.calls": 260,
+    "numcore.tape_nodes_per_step": 49,
+    "numcore.op.leaf.count": 19,
+    "numcore.op.matmul.count": 3,
+    "numcore.op.add.count": 1,
+    "numcore.op.mul.count": 3,
+    "numcore.op.scale.count": 2,
+    "numcore.op.relu.count": 4,
+    "numcore.op.sigmoid.count": 1,
+    "numcore.op.log.count": 2,
+    "numcore.op.square.count": 1,
+    "numcore.op.clip.count": 2,
+    "numcore.op.transpose.count": 1,
+    "numcore.op.concat-cols.count": 1,
+    "numcore.op.softmax-rows.count": 1,
+    "numcore.op.sum.count": 2,
+    "numcore.op.topk-mean.count": 1,
+}
 
-@pytest.mark.parametrize("workload", sorted(PINNED))
-def test_traced_run_keeps_spans_and_counts(workload):
+
+def _traced(workload):
+    """Per-layer metrics of one traced op at seed 1, after the run's own checks."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
@@ -37,7 +62,20 @@ def test_traced_run_keeps_spans_and_counts(workload):
     detail, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
     assert result["failed"] == 0, detail
     assert detail["spans_not_wrapped"] == []
-    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED))
+def test_traced_run_keeps_spans_and_counts(workload):
+    metrics = _traced(workload)
     generated, kept = PINNED[workload]
     assert metrics["localization.proposals_generated"] == generated
     assert metrics["localization.proposals_kept"] == kept
+
+
+def test_traced_training_keeps_its_tape():
+    metrics = _traced("train-short")
+    assert {name: metrics[name] for name in TRAINING} == TRAINING
+    ops = {name for name, value in metrics.items()
+           if name.startswith("numcore.op.") and value}
+    assert ops == {name for name in TRAINING if name.startswith("numcore.op.")}
