@@ -62,8 +62,8 @@ class CorpusSpec:
 class SyntheticVideo:
     id: str
     T: int
-    appearance: np.ndarray            # T x d
-    motion: np.ndarray                # T x d
+    appearance: np.ndarray            # T x d, float32
+    motion: np.ndarray                # T x d, float32
     gt_intervals: list[tuple[int, int, int]]  # (start, end inclusive, class)
     label: np.ndarray                 # multi-hot, length C
     confounder_idx: list[int] = field(default_factory=list)
@@ -195,11 +195,11 @@ def _generate_video(spec: CorpusSpec, vid: str, rng: np.random.Generator,
             break
     confounder_idx.sort()
 
-    # round to f32 precision once: every pinned artifact (loss curves,
+    # round to f32 once and keep f32: every pinned artifact (loss curves,
     # reports, ablation tables, the generate fingerprint) comes from
-    # f32-valued streams, and dropping the rounding would change them all
-    appearance = appearance.astype(np.float32).astype(np.float64)
-    motion = motion.astype(np.float32).astype(np.float64)
+    # f32-valued streams, which every consumer widens to f64 exactly
+    appearance = appearance.astype(np.float32)
+    motion = motion.astype(np.float32)
 
     video = SyntheticVideo(
         id=vid, T=T, appearance=appearance, motion=motion,

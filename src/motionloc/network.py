@@ -109,20 +109,16 @@ def base_forward(appearance, motion, params):
 def guidance_forward(features, adjacency, params):
     """Motionness (B x T x 1) from K graph-conv rounds plus shortcut.
 
-    features is B x T x d, with one entry of adjacency per video. Each
-    round is X^k = relu(G X^{k-1} W^k) with the video's own adjacency G; None
-    entries (mlp mode) drop G entirely (relu(X W^k) per round).
+    features is B x T x d and adjacency the B x T x T stack of the
+    videos' graphs. Each round is X^k = relu(G X^{k-1} W^k) with the
+    video's own adjacency G; None (mlp mode) drops G entirely
+    (relu(X W^k) per round).
     """
     x0 = DiffNode(as_matrix(features, "guidance features", batched=True),
                   needs_grad=False)
-    if x0.value.ndim != 3 or len(adjacency) != x0.shape[0]:
-        raise ShapeMismatchError(
-            f"need B x T x d features and B graphs, got {x0.shape} and "
-            f"{len(adjacency)}")
-    propagated = adjacency[0] is not None
     x = x0
     for W in params.gcn:
-        x = nc.relu((nc.propagate(adjacency, x) if propagated else x) @ W)
+        x = nc.relu((x if adjacency is None else nc.propagate(adjacency, x)) @ W)
     x = nc.concat_cols(x, x0)
     return nc.clip(nc.sigmoid(nc.conv3(x, params.mot.taps, params.mot.bias)),
                    MOTIONNESS_EPS, 1.0 - MOTIONNESS_EPS)
@@ -144,7 +140,8 @@ class ForwardOutput:
 
 
 def full_forward(videos, adjacency, params, mcfg):
-    """Both branches over equal-length videos, each with its graph's adjacency."""
+    """Both branches over equal-length videos; adjacency is their B x T x T
+    graph stack, or None in mlp mode."""
     tcas = base_forward(np.stack([v.appearance for v in videos]),
                         np.stack([v.motion for v in videos]), params)
     feats = np.stack([guidance_features(v, mcfg) for v in videos])

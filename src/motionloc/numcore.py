@@ -120,12 +120,6 @@ def constant(value) -> DiffNode:
     return DiffNode(as_matrix(value, "constant", batched=True), needs_grad=False)
 
 
-def zero_grads(params: Sequence[DiffNode]) -> None:
-    for p in params:
-        if p.grad is not None:
-            p.grad.fill(0.0)
-
-
 def _toposort(root: DiffNode) -> list[DiffNode]:
     """The root and the nodes with a backward rule that it reaches.
 
@@ -426,27 +420,17 @@ def conv3(x: DiffNode, taps: Sequence[DiffNode], bias: DiffNode) -> DiffNode:
     return out
 
 
-def propagate(adjacency: Sequence[np.ndarray], x: DiffNode) -> DiffNode:
-    """out[b] = A_b x[b]: each video's constant T x T graph times its rows.
-
-    The graphs come as one matrix per video; a stacked B x T x T copy of
-    them would cost B T^2 floats per tape for nothing.
-    """
-    if x.value.ndim != 3 or len(adjacency) != x.shape[0] or any(
-            A.shape != (x.rows, x.rows) for A in adjacency):
+def propagate(adjacency: np.ndarray, x: DiffNode) -> DiffNode:
+    """out[b] = A_b x[b]: each video's constant T x T graph times its rows,
+    for a B x T x T adjacency stack and B x T x n features."""
+    if x.value.ndim != 3 or adjacency.shape != (x.shape[0], x.rows, x.rows):
         raise ShapeMismatchError(
-            f"propagate: features {x.shape} need one {x.rows} x {x.rows} graph "
-            f"per video, got {[np.shape(A) for A in adjacency]}")
-    v = np.empty_like(x.value)
-    for A, xb, vb in zip(adjacency, x.value, v):
-        np.matmul(A, xb, out=vb)
-    out = DiffNode(v, (x,), "propagate")
+            f"propagate: features {x.shape} need a {x.shape[0]} x {x.rows} x "
+            f"{x.rows} adjacency stack, got {adjacency.shape}")
+    out = DiffNode(adjacency @ x.value, (x,), "propagate")
 
     def rule(g):
-        gx = np.empty_like(g)
-        for A, gb, gxb in zip(adjacency, g, gx):
-            np.matmul(A.T, gb, out=gxb)
-        _accumulate(x, gx)
+        _accumulate(x, _swap(adjacency) @ g)
 
     out._rule = rule if out.needs_grad else None
     return out

@@ -191,17 +191,18 @@ def run_training(cfg, train_videos, log=None):
     """Optimize fresh parameters on the given videos; returns (params, curve).
 
     The curve holds one (epoch, mean per-video loss) pair per epoch.
-    Each video's adjacency is built once up front; gradients accumulate
-    over each shuffled mini-batch, tape by tape in video order, into
-    Adam's flat gradient vector, which is scaled by 1/|batch| and spent
-    by a single Adam step. The result is bit for bit that of one tape
-    per video.
+    Each video's adjacency is built once up front, and each tape gets
+    the stack of its videos' graphs. Gradients accumulate over each
+    shuffled mini-batch, tape by tape in video order, into Adam's flat
+    gradient vector, which is scaled by 1/|batch| and spent by a single
+    Adam step. The result is bit for bit that of one tape per video.
     """
     cfg.graph.validate()
     mcfg = cfg.model
     params = init_params(cfg.corpus.d, cfg.corpus.C, mcfg, cfg.train.seed)
     adjacency = [build_graph(guidance_features(v, mcfg), params.W1, params.W2,
                              cfg.graph).adjacency for v in train_videos]
+    propagated = cfg.graph.mode != "mlp"
     state = nc.adam_init(params.trainable(), lr=cfg.train.lr)
     shuffle = nc.split_rng(cfg.train.seed, 100)
     curve = []
@@ -211,8 +212,8 @@ def run_training(cfg, train_videos, log=None):
         for batch in _batches(order, cfg.train.batch_size):
             for tape in _tapes(train_videos, batch):
                 videos = [train_videos[i] for i in tape]
-                out = full_forward(videos, [adjacency[i] for i in tape],
-                                   params, mcfg)
+                graphs = np.stack([adjacency[i] for i in tape]) if propagated else None
+                out = full_forward(videos, graphs, params, mcfg)
                 loss, _ = per_video_loss(out, np.stack([v.label for v in videos]),
                                          cfg.loss)
                 values = loss.value.reshape(-1).tolist()
@@ -250,9 +251,7 @@ def run_evaluation(cfg, params, videos):
         batch = [videos[i] for i in run]
         graph = build_graph(np.stack([guidance_features(v, mcfg) for v in batch]),
                             params.W1, params.W2, cfg.graph)
-        adjacency = (list(graph.adjacency) if graph.adjacency is not None
-                     else [None] * len(batch))
-        out = full_forward(batch, adjacency, params, mcfg)
+        out = full_forward(batch, graph.adjacency, params, mcfg)
         tcas_by_T[batch[0].T].append(out.tcas.value)
         index_by_T[batch[0].T].extend(run)
         for video, motionness in zip(batch, out.motionness.value):

@@ -156,7 +156,8 @@ def run_evaluation(cfg, params, videos):
     for video in videos:
         graph = build_graph(guidance_features(video, mcfg), params.W1,
                             params.W2, cfg.graph)
-        out = full_forward([video], [graph.adjacency], params, mcfg)
+        adjacency = None if graph.adjacency is None else graph.adjacency[None]
+        out = full_forward([video], adjacency, params, mcfg)
         for prop in localize_video(out.tcas.value[0], cfg.loss.r, cfg.inference):
             dets_by_class[prop.cls].append((video.id, prop))
         kls.append(kl_guidance(out.motionness.value[0], video.gt_mask()))

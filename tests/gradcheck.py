@@ -8,7 +8,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from motionloc.numcore import (DiffNode, NonFiniteError, ShapeMismatchError,
-                               backward, zero_grads)
+                               backward)
+
+
+def _zero_grads(params: Sequence[DiffNode]) -> None:
+    for p in params:
+        p.grad.fill(0.0)
 
 
 def grad_check(build_loss: Callable[[], DiffNode], params: Sequence[DiffNode],
@@ -23,7 +28,7 @@ def grad_check(build_loss: Callable[[], DiffNode], params: Sequence[DiffNode],
     """
     if not 1e-6 <= h <= 1e-3:
         raise ValueError(f"h={h} outside [1e-6, 1e-3]")
-    zero_grads(params)
+    _zero_grads(params)
     loss = build_loss()
     if loss.shape[-2:] != (1, 1):
         raise ShapeMismatchError("grad_check needs 1 x 1 losses")
@@ -49,5 +54,5 @@ def grad_check(build_loss: Callable[[], DiffNode], params: Sequence[DiffNode],
             err = abs(gflat[i] - numeric) / max(1.0, abs(gflat[i]))
             if err > max_err:
                 max_err = err
-    zero_grads(params)
+    _zero_grads(params)
     return max_err

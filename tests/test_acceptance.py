@@ -86,8 +86,8 @@ def test_criterion_1_gradient_correctness():
         params = net.init_params(d, C, mcfg, seed=1000 + i)
         gcfg = GraphConfig(theta_pos=thetas[i % 3], gamma=gammas[i % 3],
                            mode=mode)
-        adjacency = [build_graph(v.motion, params.W1, params.W2, gcfg).adjacency
-                     for v in videos]
+        adjacency = build_graph(np.stack([v.motion for v in videos]), params.W1,
+                                params.W2, gcfg).adjacency
         for kind in ("xe", "motion_guided"):
             cfg = LossConfig(loss_kind=kind)
 

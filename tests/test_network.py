@@ -18,7 +18,8 @@ def _adjacency_for(motion, params, cfg=None):
 
 def _motionness(feats, adjacency, params):
     """guidance_forward on one video (a batch of one): T x 1 motionness."""
-    mu = net.guidance_forward(np.asarray(feats)[None], [adjacency], params)
+    stack = None if adjacency is None else adjacency[None]
+    mu = net.guidance_forward(np.asarray(feats)[None], stack, params)
     assert mu.shape == (1, len(feats), 1)
     return mu.value[0]
 
@@ -61,10 +62,10 @@ def test_stream_shape_mismatch_rejected():
         net.base_forward(np.zeros((8, 4)), np.zeros((8, 5)), params)
     # the guidance branch checks snippet counts against each adjacency
     with pytest.raises(ShapeMismatchError):
-        net.guidance_forward(np.zeros((1, 8, 4)), [np.eye(7)], params)
+        net.guidance_forward(np.zeros((1, 8, 4)), np.eye(7)[None], params)
     # and takes one adjacency per video
     with pytest.raises(ShapeMismatchError):
-        net.guidance_forward(np.zeros((2, 8, 4)), [np.eye(8)], params)
+        net.guidance_forward(np.zeros((2, 8, 4)), np.eye(8)[None], params)
 
 
 def test_motionness_zero_weights_is_half():
@@ -106,7 +107,7 @@ def test_single_gcn_layer_swap_adjacency():
     feats = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     x0 = nc.constant(feats[None])
-    out = nc.propagate([swap], x0) @ params.gcn[0]
+    out = nc.propagate(swap[None], x0) @ params.gcn[0]
     np.testing.assert_allclose(out.value[0], feats[::-1])
 
 
@@ -125,7 +126,7 @@ def test_permutation_equivariance_of_gcn_stack():
         x = nc.constant(feats[None])
         x0 = x
         for W in params.gcn:
-            x = nc.relu(nc.propagate([G], x) @ W)
+            x = nc.relu(nc.propagate(G[None], x) @ W)
         return nc.concat_cols(x, x0).value[0]
 
     plain = pre_conv(feats, G)
@@ -159,7 +160,7 @@ def test_full_forward_deterministic_and_differentiable():
     video = generate_corpus(spec)[0][0]
     mcfg = ModelConfig()
     params = net.init_params(d=5, C=3, mcfg=mcfg, seed=14)
-    g = [_adjacency_for(video.motion, params)]
+    g = _adjacency_for(video.motion, params)[None]
     out1 = net.full_forward([video], g, params, mcfg)
     out2 = net.full_forward([video], g, params, mcfg)
     np.testing.assert_array_equal(out1.tcas.value, out2.tcas.value)

@@ -287,6 +287,33 @@ def test_stacked_parameter_gradient_adds_videos_in_order(shape):
             assert p.grad.tobytes() == want.tobytes(), (B, tape)
 
 
+@pytest.mark.parametrize("n", [1, 5, 16, 32])
+@pytest.mark.parametrize("T", [8, 63, 64, 100, 256, 257])
+@pytest.mark.parametrize("B", [1, 2, 7, 8])
+def test_propagate_stack_equals_per_video_matmuls(B, T, n):
+    """One stacked product each way gives the bits of a matmul per video:
+    A_b x_b forward and A_b^T g_b back to the features."""
+    rng = nc.split_rng(11, 7, B, T, n)
+    A = rng.standard_normal((B, T, T))
+    xv = rng.standard_normal((B, T, n))
+    g = rng.standard_normal((B, T, n))
+    x = nc.DiffNode(xv, needs_grad=True)
+    out = nc.propagate(A, x)
+    nc.backward(nc.sum_all(nc.mul(out, nc.constant(g))))
+    for b in range(B):
+        assert out.value[b].tobytes() == np.matmul(A[b], xv[b]).tobytes(), b
+        assert x.grad[b].tobytes() == np.matmul(A[b].T, g[b]).tobytes(), b
+
+
+def test_propagate_rejects_a_stack_that_does_not_fit():
+    x = nc.constant(np.zeros((3, 8, 4)))
+    for shape in ((2, 8, 8), (4, 8, 8), (3, 7, 7), (3, 9, 9), (3, 8, 9), (8, 8)):
+        with pytest.raises(nc.ShapeMismatchError):
+            nc.propagate(np.zeros(shape), x)
+    with pytest.raises(nc.ShapeMismatchError):  # features need a video axis
+        nc.propagate(np.zeros((1, 8, 8)), nc.constant(np.zeros((8, 4))))
+
+
 def test_split_rng_is_deterministic_and_splits():
     a = nc.split_rng(42, 1, 2).standard_normal(4)
     b = nc.split_rng(42, 1, 2).standard_normal(4)

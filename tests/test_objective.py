@@ -214,7 +214,7 @@ def test_full_model_loss_gradcheck():
         cfg = LossConfig(loss_kind=kind)
 
         def build():
-            out = net.full_forward([video], [graph.adjacency], params, mcfg)
+            out = net.full_forward([video], graph.adjacency[None], params, mcfg)
             loss, _ = obj.per_video_loss(out, video.label, cfg)
             return loss
 
@@ -254,12 +254,14 @@ def test_batched_tape_gradients_equal_per_video_tapes():
                          LossConfig(regularizer_mask="none")):
 
                 def run(tapes):
-                    nc.zero_grads(trainable)
+                    for p in trainable:
+                        p.grad.fill(0.0)
                     values = []
                     for tape in tapes:
+                        graphs = (None if mode == "mlp" else
+                                  np.stack([adjacency[i] for i in tape]))
                         out = net.full_forward([videos[i] for i in tape],
-                                               [adjacency[i] for i in tape],
-                                               params, mcfg)
+                                               graphs, params, mcfg)
                         loss, _ = obj.per_video_loss(
                             out, np.stack([videos[i].label for i in tape]), lcfg)
                         nc.backward(loss)

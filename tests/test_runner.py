@@ -153,7 +153,7 @@ class TestTraining:
             # finite inputs whose convolutions overflow to inf, then nan
             train_videos[i] = dataclasses.replace(
                 train_videos[i],
-                appearance=np.full_like(train_videos[i].appearance, 1e308))
+                appearance=np.full(train_videos[i].appearance.shape, 1e308))
         order = nc.split_rng(cfg.train.seed, 100).permutation(6).tolist()
         first = min(diverging, key=order.index)
         with pytest.raises(TrainingError,
