@@ -36,6 +36,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _load_experiment(args):
     cfg = ExperimentConfig()
     if args.config:
@@ -106,7 +112,7 @@ def _cmd_eval(args):
         raise ConfigError(
             f"--config changes what checkpoint {ckpt} was trained with: "
             f"{', '.join(changed)}")
-    params = load_params(ckpt)
+    params = load_params(ckpt, trained.corpus.d, trained.corpus.C, trained.model)
     out = args.out if args.out is not None else cfg.out_dir
     report = evaluate_params(cfg, params, out=out)
     ious = ", ".join(f"{t:g}: {report.map[t]:.4f}" for t in sorted(report.map))
@@ -198,7 +204,8 @@ def build_parser():
 
     p = sub.add_parser("loss-surface",
                        help="dump the guided-loss surface as CSV")
-    p.add_argument("--grid", type=int, default=50, help="points per axis")
+    p.add_argument("--grid", type=_positive_int, default=50,
+                   help="points per axis")
     p.add_argument("--out", default="surface.csv", help="output CSV path")
     p.set_defaults(func=_cmd_loss_surface)
 

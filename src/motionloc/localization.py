@@ -1,8 +1,8 @@
 """Inference: video-level classification, thresholded runs, NMS.
 
-Scores arrive as a plain T x C array, or an N x T x C stack of videos of
-one length (no gradients at test time). Each predicted (video, class)
-column is min-max normalized, swept over a threshold grid, and maximal
+Scores arrive as an N x T x C stack of videos of one length (no
+gradients at test time). Each predicted (video, class) column is
+min-max normalized, swept over a threshold grid, and maximal
 above-threshold runs become proposals scored by the mean raw column
 value inside them. Detections travel as one set of arrays throughout.
 """
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import as_matrix, constant
+from .numcore import ShapeMismatchError, as_matrix, constant
 from .objective import aggregate_topk
 
 DEFAULT_THETA_A = tuple(round(0.025 * i, 3) for i in range(11))  # 0 .. 0.25
@@ -22,7 +22,7 @@ DEFAULT_THETA_A = tuple(round(0.025 * i, 3) for i in range(11))  # 0 .. 0.25
 class Detections:
     """Equal-length 1-D arrays, one entry per detected segment."""
 
-    video: np.ndarray       # index into the evaluated (or stacked) videos
+    video: np.ndarray       # index into the stack of evaluated videos
     cls: np.ndarray
     start: np.ndarray       # inclusive snippet indices
     end: np.ndarray
@@ -41,12 +41,6 @@ class Detections:
         """The detections at an index array or boolean mask, in its order."""
         return Detections(*(getattr(self, f.name)[index]
                             for f in dataclasses.fields(self)))
-
-    @staticmethod
-    def concat(parts):
-        return Detections(*(np.concatenate([getattr(p, f.name) for p in parts])
-                            if parts else ()
-                            for f in dataclasses.fields(Detections)))
 
 
 @dataclass(frozen=True)
@@ -146,15 +140,16 @@ def nms(dets, iou_threshold):
 
 
 def localize_video(tcas, r, cfg):
-    """Inference over one T x C video or an N x T x C stack: classify,
-    sweep, suppress. Detections come ordered by (video, cls, start, end).
+    """Inference over an N x T x C stack of videos: classify, sweep,
+    suppress. Detections come ordered by (video, cls, start, end).
 
     A video's classes are those whose softmax top-k score (the one
     training optimizes, objective.aggregate_topk) clears theta_c, or its
     argmax when none does. cfg is assumed validated.
     """
-    scores = as_matrix(tcas, "tcas", batched=True)
-    stack = scores if scores.ndim == 3 else scores[None]
+    stack = as_matrix(tcas, "tcas", batched=True)
+    if stack.ndim != 3:
+        raise ShapeMismatchError(f"tcas must be N x T x C, got shape {stack.shape}")
     p = aggregate_topk(constant(stack), r).probs.value[:, 0, :]
     chosen = p > cfg.theta_c
     fallback = np.flatnonzero(~chosen.any(axis=1))

@@ -66,10 +66,9 @@ def _flags(ranked, iou_threshold):
 
 
 def _ap(flags, gt_by_video):
-    """All-points interpolated AP of TP flags in confidence order."""
+    """All-points interpolated AP of TP flags in confidence order, for a
+    class with ground truth (map_at skips the others)."""
     npos = sum(len(v) for v in gt_by_video.values())
-    if npos == 0:
-        raise DomainError("average_precision needs at least one gt instance")
     if not flags.size:
         return 0.0
     tp = np.cumsum(flags, dtype=np.float64)
@@ -82,18 +81,6 @@ def _ap(flags, gt_by_video):
         np.concatenate([[0.0], precision, [0.0]])[::-1])[::-1]
     steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
-
-
-def average_precision(dets, video_ids, gt_by_video, iou_threshold):
-    """All-points interpolated AP for one class.
-
-    dets: Detections of that class, dets.video indexing video_ids;
-    gt_by_video: video id -> list of inclusive segments. Classes without
-    ground truth have no defined AP (the caller excludes them from the
-    mean).
-    """
-    flags = _flags(_ranked(dets, video_ids, gt_by_video), iou_threshold)
-    return _ap(flags, gt_by_video)
 
 
 @dataclass

@@ -180,31 +180,48 @@ def save_params(path, params):
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _read_tensor(path, entry, name):
-    raw = (path / entry["file"]).read_bytes()
-    shape = tuple(entry["shape"])
-    want = 8 * shape[0] * shape[1]
-    if len(raw) != want:
-        raise ValueError(
-            f"checkpoint tensor {name}: expected {want} bytes, got {len(raw)}")
-    return np.frombuffer(bytearray(raw), dtype="<f8").reshape(shape)
+def _read_tensor(path, manifest, name, shape):
+    """The named tensor of a checkpoint, which must have the given shape."""
+    entry = manifest.get(name)
+    if not isinstance(entry, dict):
+        raise ValueError(f"checkpoint manifest has no entry for tensor {name}")
+    dims, file = entry.get("shape"), entry.get("file")
+    # init_params gives two positive ints; bools and floats are not ints here
+    if dims != list(shape) or any(type(n) is not int for n in dims):
+        raise ValueError(f"checkpoint tensor {name}: shape {dims!r}, but the "
+                         f"trained config needs {list(shape)}")
+    root = path.resolve()
+    if not isinstance(file, str) or root not in (path / file).resolve().parents:
+        raise ValueError(f"checkpoint tensor {name}: file must name a file "
+                         f"inside {path}, got {file!r}")
+    try:
+        raw = (path / file).read_bytes()
+    except OSError as e:
+        raise ValueError(f"checkpoint tensor {name}: cannot read {file}: "
+                         f"{e.strerror}") from e
+    if len(raw) != 8 * shape[0] * shape[1]:
+        raise ValueError(f"checkpoint tensor {name}: expected "
+                         f"{8 * shape[0] * shape[1]} bytes, got {len(raw)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
-def load_params(path):
+def load_params(path, d, C, mcfg):
+    """Parameters for stream width d, C classes and model config mcfg
+    from a checkpoint directory. Its manifest must name every tensor,
+    with the shape init_params gives that config; a ValueError names the
+    first tensor that does not fit."""
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
-
-    def conv(prefix):
-        taps = [param(_read_tensor(path, manifest[f"{prefix}.tap{i}"],
-                                   f"{prefix}.tap{i}")) for i in range(3)]
-        bias = param(_read_tensor(path, manifest[f"{prefix}.bias"],
-                                  f"{prefix}.bias"))
-        return Conv3(taps=taps, bias=bias)
-
-    n_gcn = sum(1 for k in manifest if k.startswith("gcn."))
-    gcn = [param(_read_tensor(path, manifest[f"gcn.{i}"], f"gcn.{i}"))
-           for i in range(n_gcn)]
-    return ModelParams(
-        embed=conv("embed"), cls=conv("cls"), gcn=gcn, mot=conv("mot"),
-        W1=_read_tensor(path, manifest["proj.W1"], "proj.W1"),
-        W2=_read_tensor(path, manifest["proj.W2"], "proj.W2"))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"checkpoint manifest {path / 'manifest.json'} "
+                         "must be a JSON object")
+    params = init_params(d, C, mcfg, seed=0)
+    tensors = _named_tensors(params)
+    unknown = sorted(set(manifest) - {name for name, _ in tensors})
+    if unknown:
+        raise ValueError(f"checkpoint manifest names unknown tensor(s): "
+                         f"{', '.join(unknown)}")
+    # _named_tensors gives the live arrays, so this fills params in place
+    for name, value in tensors:
+        value[...] = _read_tensor(path, manifest, name, value.shape)
+    return params

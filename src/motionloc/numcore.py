@@ -8,15 +8,14 @@ video axis. A parameter's stacked gradient is reduced over the
 broadcast axes once for the whole stack, and its video slices are then
 added in video order by one ordered reduction, so one tape over B
 videos accumulates exactly the bits that B one-video tapes would, at a
-cost per tape rather than per video. Other broadcasting is limited to
-row vectors (1 x n) and column vectors (n x 1) as the second operand of
-`add` / `mul`; anything fancier is a shape error. Interior gradients
-exist only during `backward`, so a forward-only build allocates none.
-`adam_init` moves the parameters' values and gradients into one flat
-vector each, so zeroing, scaling, the finiteness check and the Adam
-update run once per step over one vector, not once per parameter. The
-networks built on top are tiny, so simplicity beats generality
-throughout.
+cost per tape rather than per video. The one other broadcast is a
+`conv3` bias, a 1 x n row added to every snippet; `add` and `mul` take
+operands of one shape. Interior gradients exist only during
+`backward`, so a forward-only build allocates none. `adam_init` moves
+the parameters' values and gradients into one flat vector each, so
+zeroing, scaling, the finiteness check and the Adam update run once per
+step over one vector, not once per parameter. The networks built on
+top are tiny, so simplicity beats generality throughout.
 """
 from __future__ import annotations
 
@@ -217,30 +216,20 @@ def matmul(a: DiffNode, b: DiffNode) -> DiffNode:
     return out
 
 
-def _broadcast_check(a: DiffNode, b: DiffNode, op: str) -> None:
-    if a.shape == b.shape:
-        return
-    if b.value.ndim == 2 or b.shape[:-2] == a.shape[:-2]:
-        if b.rows == 1 and b.cols == a.cols:
-            return
-        if b.cols == 1 and b.rows == a.rows:
-            return
-    raise ShapeMismatchError(f"{op}: {a.shape} with {b.shape} (row/col vector only)")
+def _same_shape(a: DiffNode, b: DiffNode, op: str) -> None:
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"{op}: {a.shape} with {b.shape}")
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum g along either of the last two axes where the operand was broadcast."""
-    if g.shape == shape:
+    """Sum g over the rows where the operand, a 1 x n bias, was broadcast."""
+    if g.shape == shape or shape[-2] != 1:
         return g
-    if shape[-2] == 1:
-        g = g.sum(axis=-2, keepdims=True)
-    if shape[-1] == 1:
-        g = g.sum(axis=-1, keepdims=True)
-    return g
+    return g.sum(axis=-2, keepdims=True)
 
 
 def add(a: DiffNode, b: DiffNode) -> DiffNode:
-    _broadcast_check(a, b, "add")
+    _same_shape(a, b, "add")
     out = DiffNode(a.value + b.value, (a, b), "add")
 
     def rule(g):
@@ -254,7 +243,7 @@ def add(a: DiffNode, b: DiffNode) -> DiffNode:
 
 
 def mul(a: DiffNode, b: DiffNode) -> DiffNode:
-    _broadcast_check(a, b, "mul")
+    _same_shape(a, b, "mul")
     out = DiffNode(a.value * b.value, (a, b), "mul")
 
     def rule(g):

@@ -2,8 +2,9 @@
 
 A full experiment is one JSON-serializable config tree: corpus spec,
 graph/model/loss settings, optimizer schedule, inference thresholds.
-Training iterates shuffled mini-batches, runs each on as few batched
-tapes as TAPE_SNIPPETS allows, accumulates gradients in video order,
+A training or evaluation run takes videos of one clip length. Training
+iterates shuffled mini-batches, runs each on as few batched tapes as
+TAPE_SNIPPETS allows, accumulates gradients in video order,
 and takes one Adam step per batch. The ablation driver reruns the
 pipeline over named config deltas and writes one CSV per table, caching
 cells whose resolved configs coincide and training the distinct cells
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import numcore as nc
 from .datagen import CorpusSpec, generate_corpus
-from .localization import Detections, InferenceConfig, localize_video
+from .localization import InferenceConfig, localize_video
 from .metrics import kl_guidance, map_at
 from .motiongraph import GraphConfig, build_graph
 from .network import (ModelConfig, full_forward, guidance_features,
@@ -173,18 +174,15 @@ def _batches(order, size):
         yield order[i:i + size]
 
 
-def _tapes(videos, batch):
-    """Split a batch, in order, into runs of equal-length videos that
-    together hold at most TAPE_SNIPPETS snippets (or one longer video)."""
-    run = []
-    for i in map(int, batch):
-        T = videos[i].T
-        if run and (T != videos[run[0]].T or (len(run) + 1) * T > TAPE_SNIPPETS):
-            yield run
-            run = []
-        run.append(i)
-    if run:
-        yield run
+def _videos_per_tape(videos):
+    """Videos per training tape or evaluation run: as many as
+    TAPE_SNIPPETS holds, at least one. All videos of a run share one
+    clip length; ShapeMismatchError names the lengths otherwise."""
+    lengths = sorted({v.T for v in videos})
+    if len(lengths) > 1:
+        raise nc.ShapeMismatchError(
+            f"videos of one clip length expected, got T = {lengths}")
+    return max(1, TAPE_SNIPPETS // lengths[0]) if lengths else 1
 
 
 def run_training(cfg, train_videos, log=None):
@@ -198,6 +196,7 @@ def run_training(cfg, train_videos, log=None):
     Adam step. The result is bit for bit that of one tape per video.
     """
     cfg.graph.validate()
+    per_tape = _videos_per_tape(train_videos)
     mcfg = cfg.model
     params = init_params(cfg.corpus.d, cfg.corpus.C, mcfg, cfg.train.seed)
     adjacency = [build_graph(guidance_features(v, mcfg), params.W1, params.W2,
@@ -210,7 +209,7 @@ def run_training(cfg, train_videos, log=None):
         order = shuffle.permutation(len(train_videos))
         epoch_losses = []
         for batch in _batches(order, cfg.train.batch_size):
-            for tape in _tapes(train_videos, batch):
+            for tape in _batches(batch, per_tape):
                 videos = [train_videos[i] for i in tape]
                 graphs = np.stack([adjacency[i] for i in tape]) if propagated else None
                 out = full_forward(videos, graphs, params, mcfg)
@@ -235,37 +234,30 @@ def run_training(cfg, train_videos, log=None):
 def run_evaluation(cfg, params, videos):
     """Inference + mAP + mean per-video KL for one parameter set.
 
-    Videos are taken in order, in runs of equal length that TAPE_SNIPPETS
-    bounds as in training; each run gets one graph build and one forward.
-    Localization then runs once per clip length over the whole split.
-    The report is bit for bit that of one video at a time.
+    The videos share one clip length. They are taken in order, in runs
+    that TAPE_SNIPPETS bounds as in training; each run gets one graph
+    build and one forward. Localization then runs once over the split's
+    N x T x C stack. The report is bit for bit that of one video at a
+    time.
     """
     cfg.graph.validate()
     cfg.inference.validate()
     mcfg = cfg.model
-    tcas_by_T = defaultdict(list)
-    index_by_T = defaultdict(list)
+    tcas = []
     gt_by_class = defaultdict(lambda: defaultdict(list))
     kls = []
-    for run in _tapes(videos, range(len(videos))):
-        batch = [videos[i] for i in run]
-        graph = build_graph(np.stack([guidance_features(v, mcfg) for v in batch]),
+    for run in _batches(videos, _videos_per_tape(videos)):
+        graph = build_graph(np.stack([guidance_features(v, mcfg) for v in run]),
                             params.W1, params.W2, cfg.graph)
-        out = full_forward(batch, graph.adjacency, params, mcfg)
-        tcas_by_T[batch[0].T].append(out.tcas.value)
-        index_by_T[batch[0].T].extend(run)
-        for video, motionness in zip(batch, out.motionness.value):
+        out = full_forward(run, graph.adjacency, params, mcfg)
+        tcas.append(out.tcas.value)
+        for video, motionness in zip(run, out.motionness.value):
             kls.append(kl_guidance(motionness, video.gt_mask()))
             for s, e, c in video.gt_intervals:
                 gt_by_class[c][video.id].append((s, e))
-    parts = []
-    for T, stacks in tcas_by_T.items():
-        dets = localize_video(np.concatenate(stacks), cfg.loss.r, cfg.inference)
-        index = np.asarray(index_by_T[T])
-        parts.append(dataclasses.replace(dets, video=index[dets.video]))
+    dets = localize_video(np.concatenate(tcas), cfg.loss.r, cfg.inference)
     gt = {c: dict(v) for c, v in gt_by_class.items()}
-    report = map_at(Detections.concat(parts), [v.id for v in videos], gt,
-                    cfg.eval_iou)
+    report = map_at(dets, [v.id for v in videos], gt, cfg.eval_iou)
     report.kl[mcfg.guidance_stream] = float(np.mean(kls))
     return report
 
@@ -401,17 +393,20 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
     """
     out = resolve_out(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if "tables" not in matrix or not isinstance(matrix["tables"], dict):
+    if not isinstance(matrix, dict) or not isinstance(matrix.get("tables"), dict):
         raise ConfigError("ablation matrix needs a 'tables' object")
     base = config_from_dict(matrix.get("base", {}), base=base_cfg)
     corpora = {}
     jobs = {}  # cell key -> (cfg, corpus), in the order cells first need them
     plan = {}  # table -> [(name, cell key, None) or (name, None, error text)]
     for tname, cells in matrix["tables"].items():
+        if not isinstance(cells, list):
+            raise ConfigError(f"table {tname!r} must be a list of cells")
         plan[tname] = []
-        for cell in cells:
-            if "name" not in cell:
-                raise ConfigError(f"cell in table {tname!r} lacks a name")
+        for i, cell in enumerate(cells):
+            if not (isinstance(cell, dict) and isinstance(cell.get("name"), str)):
+                raise ConfigError(f"cell {i} of table {tname!r} must be an "
+                                  "object with a string 'name'")
             name = cell["name"]
             try:
                 cfg = config_from_dict(cell.get("overrides", {}), base=base)

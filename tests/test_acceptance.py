@@ -328,9 +328,9 @@ def test_criterion_5_oracle_equivalences():
             problems.append(f"nms order dependence trial {trial}")
 
     # hand-derived PR case: one high-confidence miss, one low-confidence hit
-    hand = metrics.average_precision(
+    hand = metrics.map_at(
         *_detections([("v", (0, 4, 0, 0.9)), ("v", (10, 19, 0, 0.1))]),
-        {"v": [(10, 19)]}, 0.5)
+        {0: {"v": [(10, 19)]}}, [0.5]).ap[(0.5, 0)]
     if hand != 0.5:
         problems.append(f"hand case gave {hand!r}")
 
@@ -345,7 +345,8 @@ def test_criterion_5_oracle_equivalences():
                 dets = [(vid, (s, e, 0, 0.9 - 0.2 * rk))
                         for (vid, (s, e)), rk in zip(combo, ranks)]
                 for thr in (0.4, 0.5, 0.75):
-                    got = metrics.average_precision(*_detections(dets), gt, thr)
+                    got = metrics.map_at(*_detections(dets), {0: gt},
+                                         [thr]).ap[(thr, 0)]
                     want = float(_greedy_ap_oracle(dets, gt, thr))
                     worst_ap = max(worst_ap, abs(got - want))
     if worst_ap > 1e-12:

@@ -4,9 +4,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import shutil
 import typing
 
 import numpy as np
+import pytest
 
 from motionloc.cli import main
 from motionloc.datagen import CorpusSpec, corpus_fingerprint, generate_corpus
@@ -399,6 +401,59 @@ class TestMalformedConfig:
         assert not (tmp_path / "adj.csv").exists()
 
 
+def _entry(name, **fields):
+    """A manifest edit: tensor name's entry with fields replaced."""
+    return lambda m: {**m, name: {**m[name], **fields}}
+
+
+# manifest edit -> what the error must name; the default config's
+# embed.tap0 is 32 x 32
+BAD_MANIFESTS = {
+    "list": (lambda m: list(m.values()), "manifest.json"),
+    "missing": (lambda m: {k: v for k, v in m.items() if k != "embed.tap0"},
+                "embed.tap0"),
+    "unknown": (lambda m: {**m, "gcn.2": m["gcn.1"]}, "gcn.2"),
+    "one-dim": (_entry("embed.tap0", shape=[3]), "embed.tap0"),
+    "string-dim": (_entry("embed.tap0", shape=["a", 2]), "embed.tap0"),
+    "float-dim": (_entry("embed.tap0", shape=[32.0, 32]), "embed.tap0"),
+    "other-shape": (_entry("embed.tap0", shape=[64, 16]), "[32, 32]"),
+    "outside-file": (_entry("embed.tap0", file="../tap0.bin"), "embed.tap0"),
+    "absolute-file": (_entry("embed.tap0", file="/dev/null"), "embed.tap0"),
+    "directory": (_entry("embed.tap0", file="."), "embed.tap0"),
+    "no-file": (_entry("embed.tap0", file=None), "embed.tap0"),
+    "missing-file": (_entry("embed.tap0", file="gone.bin"), "embed.tap0"),
+    "short-file": (_entry("embed.tap0", file="gcn_0.bin"), "embed.tap0"),
+}
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    assert main(["train", "--config",
+                 write_cfg(root, {"corpus": {"n_train": 2, "n_test": 1},
+                                  "train": {"epochs": 1},
+                                  "out_dir": str(root / "run")})]) == 0
+    return root / "run"
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+def test_eval_rejects_a_manifest_that_does_not_fit(trained_run, tmp_path,
+                                                   capsys, case):
+    edit, named = BAD_MANIFESTS[case]
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    # the right bytes, but outside the checkpoint directory
+    shutil.copy(run / "checkpoint" / "embed_tap0.bin", run / "tap0.bin")
+    manifest = run / "checkpoint" / "manifest.json"
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint"),
+                 "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
+    assert "aaaa" not in err and not (tmp_path / "rep").exists()
+
+
 class TestAblate:
     def test_custom_matrix(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -414,6 +469,21 @@ class TestAblate:
         assert len(lines) == 3
         assert "demo" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tables, named", [
+        ({"t": [5]}, "cell 0 of table 't'"),
+        ({"t": 5}, "table 't'"),
+        ({"t": [{"name": "a"}, {"overrides": {}}]}, "cell 1 of table 't'"),
+        ({"t": [{"name": 7}]}, "cell 0 of table 't'"),
+    ])
+    def test_malformed_table_names_the_cell(self, tmp_path, capsys, tables,
+                                            named):
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps({"tables": tables}))
+        assert main(["ablate", "--config", write_cfg(tmp_path), "--matrix",
+                     str(matrix), "--out", str(tmp_path / "abl")]) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error: ") and named in err, err
+
 
 class TestLossSurface:
     def test_grid_rows(self, tmp_path, capsys):
@@ -423,6 +493,14 @@ class TestLossSurface:
         assert lines[0] == "p,mu,loss"
         assert len(lines) == 2501
         assert "2500" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("grid", ["0", "-3", "x"])
+    def test_grid_must_be_positive(self, tmp_path, capsys, grid):
+        out = tmp_path / "surface.csv"
+        assert main(["loss-surface", "--grid", grid, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--grid" in err, err
+        assert not out.exists()
 
 
 class TestDumpGraph:

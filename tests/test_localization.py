@@ -40,7 +40,7 @@ def test_iou_hand_cases():
 
 
 def _classes(tcas, theta_c):
-    dets = loc.localize_video(tcas, r=8, cfg=InferenceConfig(theta_c=theta_c))
+    dets = loc.localize_video(tcas[None], r=8, cfg=InferenceConfig(theta_c=theta_c))
     return sorted(set(dets.cls.tolist()))
 
 
@@ -183,7 +183,7 @@ def test_localize_video_end_to_end():
     tcas = np.zeros((T, C))
     tcas[2:6, 1] = 4.0
     tcas[10:12, 1] = 3.0
-    props = _rows(loc.localize_video(tcas, r=8, cfg=InferenceConfig()))
+    props = _rows(loc.localize_video(tcas[None], r=8, cfg=InferenceConfig()))
     assert props
     assert all(p[2] == 1 for p in props)
     assert any(p[:2] == (2, 5) for p in props)
@@ -193,7 +193,7 @@ def test_localize_video_end_to_end():
     stack = np.stack([tcas, tcas[::-1], tcas])
     dets = loc.localize_video(stack, r=8, cfg=InferenceConfig())
     for v in range(3):
-        one = loc.localize_video(stack[v], r=8, cfg=InferenceConfig())
+        one = loc.localize_video(stack[v:v + 1], r=8, cfg=InferenceConfig())
         assert _rows(dets.take(dets.video == v)) == _rows(one)
     assert dets.video.tolist() == sorted(dets.video.tolist())
 

@@ -24,7 +24,7 @@ def _dets(pairs):
 
 def _ap(pairs, gt, thr):
     dets, ids = _dets(pairs)
-    return metrics.average_precision(dets, ids, gt, thr)
+    return metrics.map_at(dets, ids, {0: gt}, [thr]).ap[(thr, 0)]
 
 
 def _map(dets_by_class, gt, iou_list):

@@ -179,7 +179,7 @@ def test_full_forward_deterministic_and_differentiable():
 def test_checkpoint_roundtrip(tmp_path):
     params = net.init_params(d=6, C=4, mcfg=ModelConfig(), seed=18)
     net.save_params(tmp_path / "ckpt", params)
-    loaded = net.load_params(tmp_path / "ckpt")
+    loaded = net.load_params(tmp_path / "ckpt", 6, 4, ModelConfig())
     # f64 blobs: the round trip is exact and a second save is byte-stable
     net.save_params(tmp_path / "ckpt2", loaded)
     for f in sorted((tmp_path / "ckpt").iterdir()):
@@ -200,7 +200,7 @@ def test_checkpoint_truncation_detected(tmp_path):
     victim = tmp_path / "c" / "gcn_0.bin"
     victim.write_bytes(victim.read_bytes()[:-4])
     with pytest.raises(ValueError, match="gcn.0"):
-        net.load_params(tmp_path / "c")
+        net.load_params(tmp_path / "c", 3, 2, ModelConfig())
 
 
 def test_model_config_validation():

@@ -129,7 +129,7 @@ def test_composite_graphs_match_finite_differences():
         cols = int(r2.integers(2, 8))
         x = nc.param(r2.standard_normal((rows, inner)))
         w = nc.param(r2.standard_normal((inner, cols)))
-        bias = nc.param(r2.standard_normal((1, cols)))
+        bias = nc.param(r2.standard_normal((rows, cols)))
         gate = nc.param(r2.standard_normal((rows, cols)))
         taps = [nc.param(r2.standard_normal((2 * cols, 2 * cols)))
                 for _ in range(3)]

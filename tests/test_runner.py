@@ -169,7 +169,8 @@ class TestTraining:
             cfg.train.epochs + 1
         assert (out / "checkpoint" / "manifest.json").exists()
         assert load_config(out / "config.json") == cfg
-        restored = load_params(out / "checkpoint")
+        restored = load_params(out / "checkpoint", cfg.corpus.d, cfg.corpus.C,
+                               cfg.model)
         for got, want in zip(restored.trainable(), params.trainable()):
             np.testing.assert_array_equal(got.value, want.value)
 
@@ -200,6 +201,20 @@ class TestEvaluation:
         assert text == report.to_json()
         assert (tmp_path / "e" / "report.csv").exists()
         assert cfg.model.guidance_stream in report.kl
+
+
+def test_a_run_takes_one_clip_length():
+    """Training and evaluation take videos of one T and name the lengths
+    of a list that mixes them."""
+    cfg = tiny_cfg()
+    a, _ = generate_corpus(CorpusSpec(n_train=3, n_test=1, T=80, seed=3))
+    b, _ = generate_corpus(CorpusSpec(n_train=2, n_test=1, T=64, seed=4))
+    mixed = a[:2] + b + a[2:]
+    params = init_params(cfg.corpus.d, cfg.corpus.C, cfg.model, 0)
+    with pytest.raises(nc.ShapeMismatchError, match=r"T = \[64, 80\]"):
+        run_training(cfg, mixed)
+    with pytest.raises(nc.ShapeMismatchError, match=r"T = \[64, 80\]"):
+        run_evaluation(cfg, params, mixed)
 
 
 class TestAblation:
