@@ -10,7 +10,6 @@ files, diverged training).
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -23,8 +22,8 @@ from .numcore import DomainError, NonFiniteError, ShapeMismatchError
 from .objective import default_surface_grids, loss_surface
 from .runner import (ConfigError, ExperimentConfig, TrainingError,
                      config_from_dict, default_ablation_matrix,
-                     evaluate_params, load_config, resolve_out,
-                     run_ablation, train_experiment)
+                     evaluate_params, load_config, read_json,
+                     resolve_out, run_ablation, train_experiment)
 
 
 class UsageError(Exception):
@@ -57,7 +56,7 @@ def _load_experiment(args):
 
 
 def _cmd_generate(args):
-    data = json.loads(Path(args.spec).read_text()) if args.spec else {}
+    data = read_json(args.spec) if args.spec else {}
     cfg = config_from_dict({"corpus": data})
     if args.seed is not None:
         cfg = config_from_dict({"corpus": {"seed": args.seed}}, base=cfg)
@@ -123,7 +122,7 @@ def _cmd_ablate(args):
     cfg = _load_experiment(args)
     matrix = default_ablation_matrix()
     if args.matrix:
-        matrix = json.loads(Path(args.matrix).read_text())
+        matrix = read_json(args.matrix)
     out = args.out if args.out is not None else cfg.out_dir
     results = run_ablation(cfg, matrix, out,
                            log=lambda msg: print(msg, file=sys.stderr))
@@ -221,7 +220,7 @@ def build_parser():
 
 _RUNTIME_ERRORS = (ConfigError, TrainingError, GenerationError, DomainError,
                    NonFiniteError, ShapeMismatchError, FileNotFoundError,
-                   NotADirectoryError, json.JSONDecodeError, ValueError)
+                   NotADirectoryError, ValueError)
 
 
 def main(argv=None):

@@ -151,6 +151,27 @@ def build_graph(motion, W1, W2, cfg):
     return MotionGraph(T, pos, smt, build_adjacency(motion, pos | smt))
 
 
+def pack_adjacency(adjacency):
+    """A T x T adjacency as (bits, weights): np.packbits of the mask of
+    its nonzero entries and those entries in row-major order, so it costs
+    its edges rather than T^2 floats. The test is bitwise, so a -0.0
+    entry is kept and unpacks to the same bytes."""
+    nonzero = adjacency.view(np.uint64) != 0
+    return np.packbits(nonzero), adjacency[nonzero]
+
+
+def unpack_adjacency(packed, out):
+    """Fill out, a C-contiguous n x T x T float64 array, with n packed
+    adjacencies in order; its bytes are then those of np.stack of the
+    matrices."""
+    n, T = out.shape[:2]
+    mask = np.unpackbits(np.stack([bits for bits, _ in packed]), axis=-1,
+                         count=T * T).view(bool)
+    out.fill(0.0)
+    out.reshape(n, -1)[mask] = np.concatenate([w for _, w in packed])
+    return out
+
+
 def adjacency_mean_distance(adjacency):
     """Mean |i-j| weighted by the signed adjacency entries.
 

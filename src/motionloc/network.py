@@ -211,7 +211,12 @@ def load_params(path, d, C, mcfg):
     with the shape init_params gives that config; a ValueError names the
     first tensor that does not fit."""
     path = Path(path)
-    manifest = json.loads((path / "manifest.json").read_text())
+    text = (path / "manifest.json").read_text()
+    try:
+        manifest = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path / 'manifest.json'}: invalid JSON at line "
+                         f"{e.lineno}: {e.msg}") from e
     if not isinstance(manifest, dict):
         raise ValueError(f"checkpoint manifest {path / 'manifest.json'} "
                          "must be a JSON object")

@@ -444,10 +444,21 @@ def sum_all(a: DiffNode) -> DiffNode:
     out = DiffNode(a.value.sum(axis=(-2, -1), keepdims=True), (a,), "sum")
 
     def rule(g):
-        _accumulate(a, np.broadcast_to(g, a.shape))
+        _accumulate(a, g.repeat(a.rows * a.cols).reshape(a.shape))
 
     out._rule = rule if out.needs_grad else None
     return out
+
+
+def _column_picks(indices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Index of entries (indices[..., c, j], c) of a T x C matrix or B x T
+    x C stack, for row indices that are C x k (B x C x k); what it
+    selects is C x k (B x C x k). take_along_axis builds the same index
+    with several times the overhead on every call."""
+    cols = np.arange(indices.shape[-2])[:, None]
+    if indices.ndim == 2:
+        return indices, cols
+    return np.arange(indices.shape[0])[:, None, None], indices, cols
 
 
 def topk_mean_columns(a: DiffNode, k: int) -> tuple[DiffNode, np.ndarray]:
@@ -462,14 +473,14 @@ def topk_mean_columns(a: DiffNode, k: int) -> tuple[DiffNode, np.ndarray]:
     # sort of its negation sends ties to the lower index
     columns = np.ascontiguousarray(_swap(a.value))
     indices = np.ascontiguousarray(np.argsort(-columns, axis=-1, kind="stable")[..., :k])
+    picks = _column_picks(indices)
     # each column's picks contiguous, so the mean reduces the same k
     # values in the same order whatever the batch shape
-    picked = np.take_along_axis(columns, indices, axis=-1)
-    out = DiffNode(picked.mean(axis=-1)[..., None, :], (a,), "topk-mean")
+    out = DiffNode(a.value[picks].mean(axis=-1)[..., None, :], (a,), "topk-mean")
 
     def rule(g):
         ga = np.zeros(a.shape)
-        np.put_along_axis(_swap(ga), indices, _swap(g) / k, axis=-1)
+        ga[picks] = _swap(g) / k
         _accumulate(a, ga)
 
     out._rule = rule if out.needs_grad else None

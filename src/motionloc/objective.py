@@ -95,8 +95,7 @@ def video_motionness(motionness, topk_indices):
     if idx.shape[-1] == 0:
         raise DomainError("empty top-k selection")
     sel = np.zeros(motionness.shape[:-1] + (idx.shape[-2],))
-    np.put_along_axis(sel, np.swapaxes(idx, -1, -2), 1.0 / idx.shape[-1],
-                      axis=-2)
+    sel[nc._column_picks(idx)] = 1.0 / idx.shape[-1]
     return nc.transpose(motionness) @ constant(sel)
 
 

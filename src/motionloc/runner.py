@@ -26,21 +26,22 @@ from . import numcore as nc
 from .datagen import CorpusSpec, generate_corpus
 from .localization import InferenceConfig, localize_video
 from .metrics import kl_guidance, map_at
-from .motiongraph import GraphConfig, build_graph
+from .motiongraph import (GraphConfig, build_graph, pack_adjacency,
+                          unpack_adjacency)
 from .network import (ModelConfig, full_forward, guidance_features,
                       init_params, save_params)
 from .objective import LossConfig, per_video_loss
 
 OUT_ROOT_ENV = "MOTIONLOC_OUT_ROOT"
 
-# Most snippets (videos x T) one training tape covers; tape memory grows
-# with it. perfbench peak RSS on a 2-vCPU VM, one video per tape -> 512
-# snippets -> one tape per 16-video batch: train-short (T=64) 48.3 ->
-# 50.4 -> 52.8 MB, eval-long (its set-up trains at T=256) 72.9 -> 73.9
-# -> 88.3 MB. At 512, train-short kept 86% of the whole-batch speed.
-# With per-tape gradient sums and a flat Adam buffer, 1024 gave about 9%
-# more train-short, but peak RSS rose from 50.4 to 52.7 MB on
-# train-short, 54.6 to 57.3 on ablate-mix and 73.5 to 75.5 on eval-long.
+# Most snippets (videos x T) one training tape or evaluation run covers;
+# its memory grows with it. perfbench peak RSS with packed training
+# graphs (2-vCPU VM, mean of two 8-second runs) at 1 -> 512 -> 1024
+# snippets: train-short (T=64; 1024 is its whole 16-video batch) 43.2 ->
+# 45.3 -> 48.0 MB, eval-long (T=256 in set-up training and evaluation)
+# 62.2 -> 65.5 -> 66.5 MB, and 96.0 MB at 4096. train-short ran 1,025
+# -> 3,463 -> 3,379 videos/s; an earlier sizing found 1024 about 9%
+# faster than 512 there.
 TAPE_SNIPPETS = 512
 
 
@@ -151,13 +152,18 @@ def config_from_dict(data, base=None):
     return merged
 
 
-def load_config(path, base=None):
+def read_json(path):
+    """The JSON value in a file; invalid JSON is a ConfigError that names
+    the file and the line."""
     text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    return config_from_dict(data, base=base)
+
+
+def load_config(path, base=None):
+    return config_from_dict(read_json(path), base=base)
 
 
 def resolve_out(path):
@@ -189,19 +195,26 @@ def run_training(cfg, train_videos, log=None):
     """Optimize fresh parameters on the given videos; returns (params, curve).
 
     The curve holds one (epoch, mean per-video loss) pair per epoch.
-    Each video's adjacency is built once up front, and each tape gets
-    the stack of its videos' graphs. Gradients accumulate over each
-    shuffled mini-batch, tape by tape in video order, into Adam's flat
-    gradient vector, which is scaled by 1/|batch| and spent by a single
-    Adam step. The result is bit for bit that of one tape per video.
+    Each video's adjacency is built once up front and kept packed
+    (motiongraph.pack_adjacency); each tape unpacks its videos' graphs
+    into one stack buffer that the whole run reuses. An mlp run keeps
+    no graphs. Gradients accumulate over each shuffled mini-batch, tape
+    by tape in video order, into Adam's flat gradient vector, which is
+    scaled by 1/|batch| and spent by a single Adam step. The result is
+    bit for bit that of one tape per video.
     """
     cfg.graph.validate()
     per_tape = _videos_per_tape(train_videos)
     mcfg = cfg.model
     params = init_params(cfg.corpus.d, cfg.corpus.C, mcfg, cfg.train.seed)
-    adjacency = [build_graph(guidance_features(v, mcfg), params.W1, params.W2,
-                             cfg.graph).adjacency for v in train_videos]
-    propagated = cfg.graph.mode != "mlp"
+    packed = stack = None
+    if cfg.graph.mode != "mlp" and train_videos:
+        packed = [pack_adjacency(build_graph(guidance_features(v, mcfg),
+                                             params.W1, params.W2,
+                                             cfg.graph).adjacency)
+                  for v in train_videos]
+        T = train_videos[0].T
+        stack = np.empty((min(per_tape, cfg.train.batch_size), T, T))
     state = nc.adam_init(params.trainable(), lr=cfg.train.lr)
     shuffle = nc.split_rng(cfg.train.seed, 100)
     curve = []
@@ -211,7 +224,10 @@ def run_training(cfg, train_videos, log=None):
         for batch in _batches(order, cfg.train.batch_size):
             for tape in _batches(batch, per_tape):
                 videos = [train_videos[i] for i in tape]
-                graphs = np.stack([adjacency[i] for i in tape]) if propagated else None
+                # the tape's propagate nodes hold this view until its
+                # backward pass, which ends before the next tape refills it
+                graphs = None if stack is None else unpack_adjacency(
+                    [packed[i] for i in tape], stack[:len(tape)])
                 out = full_forward(videos, graphs, params, mcfg)
                 loss, _ = per_video_loss(out, np.stack([v.label for v in videos]),
                                          cfg.loss)
@@ -395,18 +411,21 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
     out.mkdir(parents=True, exist_ok=True)
     if not isinstance(matrix, dict) or not isinstance(matrix.get("tables"), dict):
         raise ConfigError("ablation matrix needs a 'tables' object")
+    # a malformed table ends the run before any corpus or training line
+    for tname, cells in matrix["tables"].items():
+        if not isinstance(cells, list):
+            raise ConfigError(f"table {tname!r} must be a list of cells")
+        for i, cell in enumerate(cells):
+            if not (isinstance(cell, dict) and isinstance(cell.get("name"), str)):
+                raise ConfigError(f"cell {i} of table {tname!r} must be an "
+                                  "object with a string 'name'")
     base = config_from_dict(matrix.get("base", {}), base=base_cfg)
     corpora = {}
     jobs = {}  # cell key -> (cfg, corpus), in the order cells first need them
     plan = {}  # table -> [(name, cell key, None) or (name, None, error text)]
     for tname, cells in matrix["tables"].items():
-        if not isinstance(cells, list):
-            raise ConfigError(f"table {tname!r} must be a list of cells")
         plan[tname] = []
-        for i, cell in enumerate(cells):
-            if not (isinstance(cell, dict) and isinstance(cell.get("name"), str)):
-                raise ConfigError(f"cell {i} of table {tname!r} must be an "
-                                  "object with a string 'name'")
+        for cell in cells:
             name = cell["name"]
             try:
                 cfg = config_from_dict(cell.get("overrides", {}), base=base)

@@ -21,6 +21,10 @@ TINY = {
 }
 
 
+# invalid JSON whose error json reports at line 2
+BROKEN_JSON = '{\n  oops\n}'
+
+
 def write_cfg(tmp_path, extra=None):
     data = json.loads(json.dumps(TINY))
     for key, value in (extra or {}).items():
@@ -93,6 +97,13 @@ class TestGenerate:
         assert code == 2
         err = capsys.readouterr().err
         assert "corpus must be an object" in err and "Traceback" not in err
+
+    def test_invalid_spec_json_names_file_and_line(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(BROKEN_JSON)
+        assert main(["generate", "--spec", str(spec)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {spec}: invalid JSON at line 2: ")
 
     def test_oversized_layout_names_the_key(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -454,6 +465,19 @@ def test_eval_rejects_a_manifest_that_does_not_fit(trained_run, tmp_path,
     assert "aaaa" not in err and not (tmp_path / "rep").exists()
 
 
+def test_eval_invalid_manifest_json_names_file_and_line(trained_run, tmp_path,
+                                                       capsys):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    manifest = run / "checkpoint" / "manifest.json"
+    manifest.write_text(BROKEN_JSON)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint"),
+                 "--out", str(tmp_path / "rep")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {manifest}: invalid JSON at line 2: ")
+
+
 class TestAblate:
     def test_custom_matrix(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -481,8 +505,18 @@ class TestAblate:
         matrix.write_text(json.dumps({"tables": tables}))
         assert main(["ablate", "--config", write_cfg(tmp_path), "--matrix",
                      str(matrix), "--out", str(tmp_path / "abl")]) == 2
-        err = capsys.readouterr().err.splitlines()[-1]
-        assert err.startswith("error: ") and named in err, err
+        # the error line alone: no cell logged its training before it
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: ") and named in err[0], err
+
+    def test_invalid_matrix_json_names_file_and_line(self, tmp_path, capsys):
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(BROKEN_JSON)
+        assert main(["ablate", "--config", write_cfg(tmp_path), "--matrix",
+                     str(matrix), "--out", str(tmp_path / "abl")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {matrix}: invalid JSON at line 2: ")
 
 
 class TestLossSurface:

@@ -295,3 +295,43 @@ PINNED_ADJACENCY = {
 def test_adjacency_bytes_pinned(mode, T):
     adjacency = mg.build_graph(*_pinned_graph_input(T), GraphConfig(mode=mode)).adjacency
     assert hashlib.sha256(adjacency.tobytes()).hexdigest() == PINNED_ADJACENCY[mode, T]
+
+
+def _unpacked(adjacencies, out=None):
+    """The matrices packed one by one and unpacked into out, by default a
+    NaN-filled buffer, so an entry the unpack does not write shows."""
+    packed = [mg.pack_adjacency(A) for A in adjacencies]
+    if out is None:
+        out = np.full((len(packed),) + adjacencies[0].shape, np.nan)
+    return mg.unpack_adjacency(packed, out)
+
+
+@pytest.mark.parametrize("mode", ["sparse", "dense"])
+@pytest.mark.parametrize("T", [8, 63, 64, 100, 256])
+def test_packed_adjacency_unpacks_to_stack_bytes(mode, T):
+    """T^2 is not always a multiple of 8, so each video's bitmap ends
+    in padding bits that the unpack must skip."""
+    m, W1, W2 = _pinned_graph_input(T)
+    graphs = [mg.build_graph(v, W1, W2, GraphConfig(mode=mode)).adjacency
+              for v in m]
+    assert _unpacked(graphs).tobytes() == np.stack(graphs).tobytes()
+
+
+def test_packed_adjacency_keeps_negative_zero():
+    A = np.array([[-0.0, 0.5, 0.0], [0.0, -0.0, -1.5], [0.25, 0.0, -0.0]])
+    assert _unpacked([A, -A]).tobytes() == np.stack([A, -A]).tobytes()
+
+
+def test_packed_adjacency_reuses_a_larger_buffer():
+    """A tape shorter than the buffer fills its first rows; what earlier,
+    denser graphs left there is cleared."""
+    rng = np.random.default_rng(9)
+    m = rng.standard_normal((7, 64, 16))
+    W1, W2 = np.eye(16), np.eye(16)
+    dense = [mg.build_graph(v, W1, W2, GraphConfig(mode="dense")).adjacency
+             for v in m[:4]]
+    sparse = [mg.build_graph(v, W1, W2, CFG).adjacency for v in m[4:]]
+    buffer = _unpacked(dense)
+    got = _unpacked(sparse, buffer[:3])
+    assert got.tobytes() == np.stack(sparse).tobytes()
+    assert buffer[3].tobytes() == dense[3].tobytes()

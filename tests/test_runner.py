@@ -11,7 +11,8 @@ import pytest
 from motionloc import numcore as nc
 from motionloc import runner
 from motionloc.datagen import CorpusSpec, generate_corpus
-from motionloc.network import init_params, load_params
+from motionloc.motiongraph import build_graph, pack_adjacency, unpack_adjacency
+from motionloc.network import guidance_features, init_params, load_params
 from motionloc.runner import (ConfigError, ExperimentConfig, TrainConfig,
                               TrainingError,
                               config_from_dict, load_config,
@@ -144,6 +145,21 @@ class TestTraining:
         for a, b in zip(params_a.trainable(), params_b.trainable()):
             np.testing.assert_array_equal(a.value, b.value)
 
+    def test_only_propagating_modes_pack_graphs(self, monkeypatch):
+        calls = []
+
+        def counted(adjacency):
+            calls.append(adjacency.shape)
+            return pack_adjacency(adjacency)
+
+        monkeypatch.setattr(runner, "pack_adjacency", counted)
+        train_videos, _ = generate_corpus(tiny_cfg().corpus)
+        run_training(tiny_cfg(graph={"mode": "sparse"}), train_videos)
+        assert calls == [(64, 64)] * len(train_videos)
+        calls.clear()
+        run_training(tiny_cfg(graph={"mode": "mlp"}), train_videos)
+        assert calls == []
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_names_first_video_in_batch_order(self):
         cfg = tiny_cfg(train={"epochs": 1, "batch_size": 6})
@@ -173,6 +189,35 @@ class TestTraining:
                                cfg.model)
         for got, want in zip(restored.trainable(), params.trainable()):
             np.testing.assert_array_equal(got.value, want.value)
+
+
+def _graphs(cfg, videos):
+    params = init_params(cfg.corpus.d, cfg.corpus.C, cfg.model, cfg.train.seed)
+    return [build_graph(guidance_features(v, cfg.model), params.W1, params.W2,
+                        cfg.graph).adjacency for v in videos]
+
+
+@pytest.mark.parametrize("mode", ["sparse", "dense"])
+def test_packed_zero_noise_graphs_unpack_to_stack_bytes(mode):
+    """Background snippets of a noiseless corpus have zero features, so
+    their adjacency rows are all zero (or uniform in dense mode)."""
+    cfg = tiny_cfg(corpus={"noise_sigma": 0.0}, graph={"mode": mode})
+    train_videos, _ = generate_corpus(cfg.corpus)
+    graphs = _graphs(cfg, train_videos)
+    if mode == "sparse":
+        assert any(not row.any() for A in graphs for row in A)
+    out = np.full((len(graphs),) + graphs[0].shape, np.nan)
+    got = unpack_adjacency([pack_adjacency(A) for A in graphs], out)
+    assert got.tobytes() == np.stack(graphs).tobytes()
+
+
+def test_packed_default_corpus_takes_a_third_of_dense_bytes():
+    cfg = ExperimentConfig()
+    train_videos, _ = generate_corpus(cfg.corpus)
+    graphs = _graphs(cfg, train_videos)
+    packed = sum(bits.nbytes + weights.nbytes
+                 for bits, weights in map(pack_adjacency, graphs))
+    assert packed <= sum(A.nbytes for A in graphs) / 3
 
 
 class TestEvaluation:

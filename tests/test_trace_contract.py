@@ -1,4 +1,11 @@
-"""The benchmark's traced run still sees every span, proposal and tape op.
+"""The benchmark's runs, untraced and traced, still work end to end.
+
+The untraced run (`--trace 0`) is the one whose end-to-end metrics the
+benchmark compares; a `--seconds 0` run of each workload (three ops)
+must finish with every op correct and report the metrics BENCHMARK.json
+names. Their values are not pinned: they depend on the machine.
+
+The traced run still sees every span, proposal and tape op.
 
 `perfbench/run.py --trace 1` wraps functions by module global
 (`runner.localize_video`, `runner.map_at`, `localization.generate_proposals`,
@@ -51,15 +58,31 @@ TRAINING = {
 }
 
 
-def _traced(workload):
-    """Per-layer metrics of one traced op at seed 1, after the run's own checks."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def _bench(workload, trace, env=None):
+    """Detail and result objects of a `--seconds 0` run at seed 1."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", "1", "--seconds", "0", "--trace", "1"],
+         "--seed", "1", "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    detail, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
+    return [json.loads(line) for line in proc.stdout.splitlines()[-2:]]
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_untraced_run_reports_end_to_end_metrics(workload):
+    detail, result = _bench(workload, 0)
+    assert result["correct"] and result["failed"] == 0, detail
+    assert set(result["metrics"]) == {m["name"] for m in SPEC["end_to_end"]}
+    assert all(m["value"] > 0 for m in result["metrics"].values()), result
+
+
+def _traced(workload):
+    """Per-layer metrics of one traced op at seed 1, after the run's own checks."""
+    detail, result = _bench(workload, 1,
+                            dict(os.environ, OPENBLAS_NUM_THREADS="1"))
     assert result["failed"] == 0, detail
     assert detail["spans_not_wrapped"] == []
     return {name: m["value"] for name, m in result["metrics"].items()}
