@@ -146,7 +146,6 @@ def build_graph(motion, W1, W2, cfg):
         raise ValueError(f"mode must be sparse, dense or mlp, got {cfg.mode!r}")
     pos = build_positional_edges(motion, cfg) if cfg.use_positional else empty
     smt = build_semantic_edges(motion, W1, W2, cfg) if cfg.use_semantic else empty
-    smt = smt & ~pos  # thresholds make these disjoint already; keep it structural
     pos = np.broadcast_to(pos, empty.shape)
     return MotionGraph(T, pos, smt, build_adjacency(motion, pos | smt))
 
@@ -173,11 +172,13 @@ def unpack_adjacency(packed, out):
 
 
 def adjacency_mean_distance(adjacency):
-    """Mean |i-j| weighted by the signed adjacency entries.
+    """Signed weighted mean span, sum_ij A_ij |i-j| / sum_ij A_ij.
 
     Signed weighting lets the sign-alternating far-field products of a
     dense graph cancel, exposing its diagonal concentration; a matrix
-    whose entries sum to (near) zero maps to 0.
+    whose entries sum to (near) zero maps to 0. It is a mean, not a
+    distance: where a graph's signed entries nearly cancel, as in dense
+    graphs, it can fall outside [0, T-1].
     """
     A = as_matrix(adjacency, "adjacency")
     total = A.sum()

@@ -4,18 +4,17 @@ Every value on the tape is a row-major float64 numpy array: a T x n
 matrix for one video, or a B x T x n stack with a leading video axis
 for a mini-batch. Ops act on the last two axes, so a stack behaves as B
 independent matrices. Parameters stay 2-D and broadcast across the
-video axis. A parameter's stacked gradient is reduced over the
-broadcast axes once for the whole stack, and its video slices are then
+video axis; the video slices of a parameter's stacked gradient are
 added in video order by one ordered reduction, so one tape over B
 videos accumulates exactly the bits that B one-video tapes would, at a
-cost per tape rather than per video. The one other broadcast is a
-`conv3` bias, a 1 x n row added to every snippet; `add` and `mul` take
-operands of one shape. Interior gradients exist only during
-`backward`, so a forward-only build allocates none. `adam_init` moves
-the parameters' values and gradients into one flat vector each, so
-zeroing, scaling, the finiteness check and the Adam update run once per
-step over one vector, not once per parameter. The networks built on
-top are tiny, so simplicity beats generality throughout.
+cost per tape rather than per video. The one row broadcast is a `conv3`
+bias, a 1 x n row added to every snippet, whose gradient `conv3` sums
+over the rows itself; `add` and `mul` take operands of one shape. Each
+op hands its backward rule to the node it returns. Interior gradients
+exist only during `backward`, so a forward-only build allocates none.
+`adam_init` moves the parameters' values and gradients into one flat
+vector each, so zeroing, scaling, the finiteness check and the Adam
+update run once per step over one vector, not once per parameter.
 """
 from __future__ import annotations
 
@@ -65,9 +64,10 @@ class DiffNode:
     """One node of the reverse-mode tape.
 
     Leaves are parameters (needs_grad=True) or constants; interior nodes
-    record their parents and a backward rule. The backward pass visits
-    each node exactly once, in reverse topological order. Only parameters
-    hold a gradient between backward passes.
+    record their parents and the backward rule their op hands over, which
+    the node drops when no parent needs a gradient. The backward pass
+    visits each node exactly once, in reverse topological order. Only
+    parameters hold a gradient between backward passes.
     """
 
     __slots__ = ("value", "grad", "parents", "op", "needs_grad", "_rule")
@@ -80,7 +80,7 @@ class DiffNode:
             needs_grad = any(p.needs_grad for p in self.parents)
         self.needs_grad = needs_grad
         self.grad = None
-        self._rule = rule
+        self._rule = rule if needs_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -164,18 +164,18 @@ def backward(root: DiffNode) -> None:
 
 
 def _accumulate(node: DiffNode, g: np.ndarray) -> None:
-    """node.grad += g, summed over the axes along which node was broadcast.
+    """node.grad += g, summed over the video axis if node was broadcast on it.
 
-    An interior node's first gradient is a copy of g. A 2-D node under a
-    stacked gradient (a parameter) has the whole stack reduced over its
-    broadcast axes at once, and the video slices are then added to its
-    gradient in video order by one reduction over the leading axis.
+    g has node's shape, or one leading video axis more for a 2-D node (a
+    parameter); the one row broadcast, a conv3 bias, arrives summed over
+    its rows by conv3. An interior node's first gradient is a copy of g.
+    A parameter's video slices are added to its gradient in video order
+    by one reduction over the leading axis.
     numpy reduces that axis element by element in order, except for a
     one-element gradient, whose lone contiguous axis it would sum
     pairwise; that one keeps the loop. Either way the bits are those of
     `grad += slice` per video.
     """
-    g = _reduce_to(g, node.value.shape)
     if g.ndim == node.value.ndim:
         if node.grad is None:
             node.grad = g.copy()
@@ -204,7 +204,6 @@ def matmul(a: DiffNode, b: DiffNode) -> DiffNode:
     """Matrix product per video; b is 2-D (shared) or stacked like a."""
     if a.cols != b.rows or (b.value.ndim == 3 and a.shape[:-2] != b.shape[:-2]):
         raise ShapeMismatchError(f"matmul {a.shape} x {b.shape}")
-    out = DiffNode(a.value @ b.value, (a, b), "matmul")
 
     def rule(g):
         if a.needs_grad:
@@ -212,8 +211,7 @@ def matmul(a: DiffNode, b: DiffNode) -> DiffNode:
         if b.needs_grad:
             _accumulate(b, _swap(a.value) @ g)
 
-    out._rule = rule if out.needs_grad else None
-    return out
+    return DiffNode(a.value @ b.value, (a, b), "matmul", rule)
 
 
 def _same_shape(a: DiffNode, b: DiffNode, op: str) -> None:
@@ -221,16 +219,8 @@ def _same_shape(a: DiffNode, b: DiffNode, op: str) -> None:
         raise ShapeMismatchError(f"{op}: {a.shape} with {b.shape}")
 
 
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum g over the rows where the operand, a 1 x n bias, was broadcast."""
-    if g.shape == shape or shape[-2] != 1:
-        return g
-    return g.sum(axis=-2, keepdims=True)
-
-
 def add(a: DiffNode, b: DiffNode) -> DiffNode:
     _same_shape(a, b, "add")
-    out = DiffNode(a.value + b.value, (a, b), "add")
 
     def rule(g):
         if a.needs_grad:
@@ -238,13 +228,11 @@ def add(a: DiffNode, b: DiffNode) -> DiffNode:
         if b.needs_grad:
             _accumulate(b, g)
 
-    out._rule = rule if out.needs_grad else None
-    return out
+    return DiffNode(a.value + b.value, (a, b), "add", rule)
 
 
 def mul(a: DiffNode, b: DiffNode) -> DiffNode:
     _same_shape(a, b, "mul")
-    out = DiffNode(a.value * b.value, (a, b), "mul")
 
     def rule(g):
         if a.needs_grad:
@@ -252,28 +240,21 @@ def mul(a: DiffNode, b: DiffNode) -> DiffNode:
         if b.needs_grad:
             _accumulate(b, g * a.value)
 
-    out._rule = rule if out.needs_grad else None
-    return out
+    return DiffNode(a.value * b.value, (a, b), "mul", rule)
 
 
 def scale(a: DiffNode, s: float) -> DiffNode:
-    out = DiffNode(a.value * s, (a,), "scale")
-
     def rule(g):
         _accumulate(a, g * s)
 
-    out._rule = rule if out.needs_grad else None
-    return out
+    return DiffNode(a.value * s, (a,), "scale", rule)
 
 
 def relu(a: DiffNode) -> DiffNode:
-    out = DiffNode(np.maximum(a.value, 0.0), (a,), "relu")
-
     def rule(g):
         _accumulate(a, g * (a.value > 0.0))
 
-    out._rule = rule if out.needs_grad else None
-    return out
+    return DiffNode(np.maximum(a.value, 0.0), (a,), "relu", rule)
 
 
 def sigmoid(a: DiffNode) -> DiffNode:
@@ -283,63 +264,50 @@ def sigmoid(a: DiffNode) -> DiffNode:
     pos = v >= 0.0
     ev = np.exp(np.where(pos, -v, v))
     s = np.where(pos, 1.0 / (1.0 + ev), ev / (1.0 + ev))
-    out = DiffNode(s, (a,), "sigmoid")
 
     def rule(g):
         _accumulate(a, g * s * (1.0 - s))
 
-    out._rule = rule if out.needs_grad else None
-    return out
+    return DiffNode(s, (a,), "sigmoid", rule)
 
 
 def log(a: DiffNode) -> DiffNode:
     if np.any(a.value <= 0.0):
         raise DomainError("log requires strictly positive inputs")
-    out = DiffNode(np.log(a.value), (a,), "log")
 
     def rule(g):
         _accumulate(a, g / a.value)
 
-    out._rule = rule if out.needs_grad else None
-    return out
+    return DiffNode(np.log(a.value), (a,), "log", rule)
 
 
 def square(a: DiffNode) -> DiffNode:
-    out = DiffNode(a.value * a.value, (a,), "square")
-
     def rule(g):
         _accumulate(a, g * 2.0 * a.value)
 
-    out._rule = rule if out.needs_grad else None
-    return out
+    return DiffNode(a.value * a.value, (a,), "square", rule)
 
 
 def clip(a: DiffNode, lo: float, hi: float) -> DiffNode:
     """Clamp values to [lo, hi]; gradient passes only through the interior."""
-    out = DiffNode(np.clip(a.value, lo, hi), (a,), "clip")
     inside = (a.value > lo) & (a.value < hi)
 
     def rule(g):
         _accumulate(a, g * inside)
 
-    out._rule = rule if out.needs_grad else None
-    return out
+    return DiffNode(np.clip(a.value, lo, hi), (a,), "clip", rule)
 
 
 def transpose(a: DiffNode) -> DiffNode:
-    out = DiffNode(np.ascontiguousarray(_swap(a.value)), (a,), "transpose")
-
     def rule(g):
         _accumulate(a, _swap(g))
 
-    out._rule = rule if out.needs_grad else None
-    return out
+    return DiffNode(np.ascontiguousarray(_swap(a.value)), (a,), "transpose", rule)
 
 
 def concat_cols(a: DiffNode, b: DiffNode) -> DiffNode:
     if a.shape[:-1] != b.shape[:-1]:
         raise ShapeMismatchError(f"concat-cols: {a.shape} with {b.shape}")
-    out = DiffNode(np.concatenate([a.value, b.value], axis=-1), (a, b), "concat-cols")
     split = a.cols
 
     def rule(g):
@@ -348,8 +316,8 @@ def concat_cols(a: DiffNode, b: DiffNode) -> DiffNode:
         if b.needs_grad:
             _accumulate(b, g[..., split:])
 
-    out._rule = rule if out.needs_grad else None
-    return out
+    return DiffNode(np.concatenate([a.value, b.value], axis=-1), (a, b),
+                    "concat-cols", rule)
 
 
 def _shift_rows(v: np.ndarray, offset: int) -> np.ndarray:
@@ -374,11 +342,13 @@ def conv3(x: DiffNode, taps: Sequence[DiffNode], bias: DiffNode) -> DiffNode:
     """Kernel-3 temporal convolution, zero padded per video, as one tape node.
 
     y[t] = x[t-1] K_neg + x[t] K_0 + x[t+1] K_pos + b for taps
-    (K_neg, K_0, K_pos). Backward recomputes the shifted inputs. The sums
-    keep the grouping ((x[t-1] K_neg + x[t] K_0) + x[t+1] K_pos) + b, and
-    the input gradient groups its terms as (-1 tap + centre) + +1 tap,
-    so the result matches a graph of separate shift, matmul and add
-    nodes bit for bit.
+    (K_neg, K_0, K_pos). The 1 x n bias b is the tape's one row
+    broadcast, and its gradient is summed over the rows here. Backward
+    recomputes the shifted inputs. The sums keep the grouping
+    ((x[t-1] K_neg + x[t] K_0) + x[t+1] K_pos) + b, and the input
+    gradient groups its terms as (-1 tap + centre) + +1 tap, so the
+    result matches a graph of separate shift, matmul and add nodes bit
+    for bit.
     """
     k_neg, k_0, k_pos = taps
     if x.cols != k_0.rows:
@@ -388,7 +358,6 @@ def conv3(x: DiffNode, taps: Sequence[DiffNode], bias: DiffNode) -> DiffNode:
     y += xv @ k_0.value
     y += _shift_rows(xv, 1) @ k_pos.value
     y += bias.value
-    out = DiffNode(y, (x, k_neg, k_0, k_pos, bias), "conv3")
 
     def rule(g):
         if x.needs_grad:
@@ -403,10 +372,9 @@ def conv3(x: DiffNode, taps: Sequence[DiffNode], bias: DiffNode) -> DiffNode:
                 xs = _shift_rows(xv, offset) if offset else xv
                 _accumulate(k, _swap(xs) @ g)
         if bias.needs_grad:
-            _accumulate(bias, g)
+            _accumulate(bias, g.sum(axis=-2, keepdims=True))
 
-    out._rule = rule if out.needs_grad else None
-    return out
+    return DiffNode(y, (x, k_neg, k_0, k_pos, bias), "conv3", rule)
 
 
 def propagate(adjacency: np.ndarray, x: DiffNode) -> DiffNode:
@@ -416,38 +384,31 @@ def propagate(adjacency: np.ndarray, x: DiffNode) -> DiffNode:
         raise ShapeMismatchError(
             f"propagate: features {x.shape} need a {x.shape[0]} x {x.rows} x "
             f"{x.rows} adjacency stack, got {adjacency.shape}")
-    out = DiffNode(adjacency @ x.value, (x,), "propagate")
 
     def rule(g):
         _accumulate(x, _swap(adjacency) @ g)
 
-    out._rule = rule if out.needs_grad else None
-    return out
+    return DiffNode(adjacency @ x.value, (x,), "propagate", rule)
 
 
 def softmax_rows(a: DiffNode) -> DiffNode:
     z = a.value - a.value.max(axis=-1, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=-1, keepdims=True)
-    out = DiffNode(s, (a,), "softmax-rows")
 
     def rule(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
         _accumulate(a, s * (g - dot))
 
-    out._rule = rule if out.needs_grad else None
-    return out
+    return DiffNode(s, (a,), "softmax-rows", rule)
 
 
 def sum_all(a: DiffNode) -> DiffNode:
     """Sum over the last two axes: 1 x 1, or B x 1 x 1 with one sum per video."""
-    out = DiffNode(a.value.sum(axis=(-2, -1), keepdims=True), (a,), "sum")
-
     def rule(g):
         _accumulate(a, g.repeat(a.rows * a.cols).reshape(a.shape))
 
-    out._rule = rule if out.needs_grad else None
-    return out
+    return DiffNode(a.value.sum(axis=(-2, -1), keepdims=True), (a,), "sum", rule)
 
 
 def _column_picks(indices: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -476,15 +437,14 @@ def topk_mean_columns(a: DiffNode, k: int) -> tuple[DiffNode, np.ndarray]:
     picks = _column_picks(indices)
     # each column's picks contiguous, so the mean reduces the same k
     # values in the same order whatever the batch shape
-    out = DiffNode(a.value[picks].mean(axis=-1)[..., None, :], (a,), "topk-mean")
+    means = a.value[picks].mean(axis=-1)[..., None, :]
 
     def rule(g):
         ga = np.zeros(a.shape)
         ga[picks] = _swap(g) / k
         _accumulate(a, ga)
 
-    out._rule = rule if out.needs_grad else None
-    return out, indices
+    return DiffNode(means, (a,), "topk-mean", rule), indices
 
 
 # ---------------------------------------------------------------------------

@@ -63,25 +63,26 @@ def normalized_label(label):
     return y / totals
 
 
-def _label_like(label, agg):
-    """Normalized labels shaped like the aggregation's probabilities."""
+def _label_like(label, probs):
+    """Normalized labels shaped like the probabilities."""
     yhat = normalized_label(label)
-    if yhat.size != agg.probs.value.size:
+    if yhat.size != probs.value.size:
         raise nc.ShapeMismatchError(
-            f"labels {yhat.shape} do not fit probabilities {agg.probs.shape}")
-    return yhat.reshape(agg.probs.shape)
+            f"labels {yhat.shape} do not fit probabilities {probs.shape}")
+    return yhat.reshape(probs.shape)
 
 
-def _log_probs(agg):
+def _log_probs(probs):
     # softmax output is positive by construction; the floor only guards
     # underflow at extreme logits
-    return nc.log(nc.clip(agg.probs, _PROB_FLOOR, 2.0))
+    return nc.log(nc.clip(probs, _PROB_FLOOR, 2.0))
 
 
-def xe_loss(agg, label):
-    """L = -sum_c yhat_c log p_c with yhat the normalized label."""
-    yhat = constant(_label_like(label, agg))
-    return nc.scale(nc.sum_all(yhat * _log_probs(agg)), -1.0)
+def xe_loss(probs, label):
+    """L = -sum_c yhat_c log p_c with yhat the normalized label and p the
+    class probabilities (AggregationResult.probs)."""
+    yhat = constant(_label_like(label, probs))
+    return nc.scale(nc.sum_all(yhat * _log_probs(probs)), -1.0)
 
 
 def video_motionness(motionness, topk_indices):
@@ -99,18 +100,19 @@ def video_motionness(motionness, topk_indices):
     return nc.transpose(motionness) @ constant(sel)
 
 
-def motion_guided_loss(agg, mu, label, cfg):
+def motion_guided_loss(probs, mu, label, cfg):
     """L = -sum_c mu_c^2 yhat_c log p_c - sum_{c in R} log mu_c^2.
 
-    R is every class, only positive classes, or empty, per
-    cfg.regularizer_mask.
+    p are the class probabilities (AggregationResult.probs) and mu the
+    per-class motionness, both shaped like them. R is every class, only
+    positive classes, or empty, per cfg.regularizer_mask.
     """
     cfg.validate()
-    yhat = _label_like(label, agg)
+    yhat = _label_like(label, probs)
     if mu.shape != yhat.shape:
         raise nc.ShapeMismatchError(f"mu must be {yhat.shape}, got {mu.shape}")
     mu2 = nc.square(mu)
-    logp = _log_probs(agg)
+    logp = _log_probs(probs)
     main = nc.scale(nc.sum_all(constant(yhat) * mu2 * logp), -1.0)
     if cfg.regularizer_mask == "none":
         return main
@@ -129,22 +131,27 @@ def per_video_loss(out, labels, cfg):
     """
     agg = aggregate_topk(out.tcas, cfg.r)
     if cfg.loss_kind == "xe":
-        return xe_loss(agg, labels), agg
+        return xe_loss(agg.probs, labels), agg
     mu = video_motionness(out.motionness, agg.topk_indices)
-    return motion_guided_loss(agg, mu, labels, cfg), agg
+    return motion_guided_loss(agg.probs, mu, labels, cfg), agg
 
 
 def loss_surface(p_grid, mu_grid):
-    """Single positive-class guided term L[i, j] = -mu^2 log p - log mu^2.
+    """Single positive-class guided loss L[i, j] = -mu^2 log p - log mu^2.
 
-    Evaluated at p = p_grid[i] and mu = mu_grid[j]; one point (p, mu) is
-    loss_surface([p], [mu])[0, 0].
+    Evaluated at p = p_grid[i] and mu = mu_grid[j] by motion_guided_loss
+    itself, on a batch of one-class videos, one per grid point; one point
+    (p, mu) is loss_surface([p], [mu])[0, 0].
     """
-    p = np.asarray(p_grid, dtype=np.float64)[:, None]
-    mu = np.asarray(mu_grid, dtype=np.float64)[None, :]
+    p = np.asarray(p_grid, dtype=np.float64)
+    mu = np.asarray(mu_grid, dtype=np.float64)
     if np.any(p <= 0) or np.any(p >= 1) or np.any(mu <= 0) or np.any(mu >= 1):
         raise DomainError("grids must lie strictly inside (0, 1)")
-    return -(mu ** 2) * np.log(p) - np.log(mu ** 2)
+    p, mu = np.meshgrid(p, mu, indexing="ij")
+    loss = motion_guided_loss(constant(p.reshape(-1, 1, 1)),
+                              constant(mu.reshape(-1, 1, 1)),
+                              np.ones((p.size, 1)), LossConfig())
+    return loss.value.reshape(p.shape)
 
 
 def default_surface_grids(n=50):

@@ -34,14 +34,9 @@ from .objective import LossConfig, per_video_loss
 
 OUT_ROOT_ENV = "MOTIONLOC_OUT_ROOT"
 
-# Most snippets (videos x T) one training tape or evaluation run covers;
-# its memory grows with it. perfbench peak RSS with packed training
-# graphs (2-vCPU VM, mean of two 8-second runs) at 1 -> 512 -> 1024
-# snippets: train-short (T=64; 1024 is its whole 16-video batch) 43.2 ->
-# 45.3 -> 48.0 MB, eval-long (T=256 in set-up training and evaluation)
-# 62.2 -> 65.5 -> 66.5 MB, and 96.0 MB at 4096. train-short ran 1,025
-# -> 3,463 -> 3,379 videos/s; an earlier sizing found 1024 about 9%
-# faster than 512 there.
+# Most snippets (videos x T) one training tape or evaluation run covers.
+# A tape's memory grows with it; 512 comes from a perfbench sizing of
+# speed against peak RSS (README "Performance").
 TAPE_SNIPPETS = 512
 
 

@@ -143,8 +143,8 @@ def test_criterion_3_collapse_at_full_motionness():
         agg = obj.aggregate_topk(tcas, r=8)
         ones = constant(np.full((T, 1), 1.0 - 1e-9))
         mu = obj.video_motionness(ones, agg.topk_indices)
-        guided = obj.motion_guided_loss(agg, mu, label, LossConfig())
-        plain = obj.xe_loss(agg, label)
+        guided = obj.motion_guided_loss(agg.probs, mu, label, LossConfig())
+        plain = obj.xe_loss(agg.probs, label)
         worst = max(worst, abs(guided.value.item() - plain.value.item()))
     _verdict(3, "guided loss equals cross-entropy at motionness 1",
              worst < 1e-6, f"20 instances, max |L_g - L_a| = {worst:.2e}")

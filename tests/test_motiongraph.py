@@ -162,6 +162,26 @@ def test_graph_invariants_random_matrices():
         assert len(pos) <= bound
 
 
+@pytest.mark.parametrize("T", [8, 16, 64])
+def test_pairs_at_theta_pos_are_in_neither_mask(T):
+    """|i-j|/T == theta_pos exactly: neither below nor above the threshold.
+
+    Positive features under identity projections have every cosine above
+    gamma = -0.999, so each pair off the boundary is in exactly one mask.
+    """
+    rng = np.random.default_rng(T)
+    m = rng.uniform(0.1, 1.0, (T, 4))
+    I = np.eye(4)
+    g = mg.build_graph(m, I, I, GraphConfig(theta_pos=0.25, gamma=-0.999))
+    idx = np.arange(T)
+    boundary = np.abs(idx[:, None] - idx[None, :]) == T // 4
+    assert boundary.any()
+    assert not (g.pos_edges & g.smt_edges).any()
+    assert not (g.pos_edges & boundary).any()
+    assert not (g.smt_edges & boundary).any()
+    np.testing.assert_array_equal(g.pos_edges | g.smt_edges, ~boundary)
+
+
 def test_threshold_monotonicity():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((30, 5))

@@ -64,14 +64,15 @@ def test_topk_shift_invariance_of_index_sets():
 
 def test_xe_loss_values():
     # perfect single positive
-    loss = obj.xe_loss(_agg_from_probs([1 - 4e-12, 1e-12, 1e-12, 1e-12, 1e-12]),
-                       [1, 0, 0, 0, 0])
+    loss = obj.xe_loss(
+        _agg_from_probs([1 - 4e-12, 1e-12, 1e-12, 1e-12, 1e-12]).probs,
+        [1, 0, 0, 0, 0])
     assert abs(loss.value.item()) < 1e-9
     # uniform over 5
-    loss = obj.xe_loss(_agg_from_probs([0.2] * 5), [0, 0, 1, 0, 0])
+    loss = obj.xe_loss(_agg_from_probs([0.2] * 5).probs, [0, 0, 1, 0, 0])
     assert loss.value.item() == pytest.approx(math.log(5), rel=1e-12)
     # two positives matched exactly: entropy of yhat
-    loss = obj.xe_loss(_agg_from_probs([0.5, 0.5, 0.0 + 1e-12]), [1, 1, 0])
+    loss = obj.xe_loss(_agg_from_probs([0.5, 0.5, 0.0 + 1e-12]).probs, [1, 1, 0])
     assert loss.value.item() == pytest.approx(math.log(2), rel=1e-9)
 
 
@@ -85,7 +86,7 @@ def test_xe_loss_class_permutation_invariance():
         agg = obj.AggregationResult(
             video_scores=constant(s), probs=nc.softmax_rows(constant(s)),
             topk_indices=[[0]] * 6, k=1)
-        return obj.xe_loss(agg, y).value.item()
+        return obj.xe_loss(agg.probs, y).value.item()
 
     assert loss_of(scores, label) == pytest.approx(
         loss_of(scores[perm], label[perm]), rel=1e-12)
@@ -127,8 +128,8 @@ def test_motion_guided_collapses_to_xe_at_mu_one():
             probs=nc.softmax_rows(constant(scores)),
             topk_indices=[[0]] * C, k=1)
         mu = constant(np.full((1, C), 1.0 - 1e-9))
-        lg = obj.motion_guided_loss(agg, mu, label, LossConfig())
-        la = obj.xe_loss(agg, label)
+        lg = obj.motion_guided_loss(agg.probs, mu, label, LossConfig())
+        la = obj.xe_loss(agg.probs, label)
         assert abs(lg.value.item() - la.value.item()) < 1e-6
 
 
@@ -182,14 +183,14 @@ def test_regularizer_masks():
     p = np.exp(scores[0]) / np.exp(scores[0]).sum()
     main = -(mu_vals[0] ** 2 * yhat * np.log(p)).sum()
 
-    full = obj.motion_guided_loss(agg, mu, label, LossConfig())
+    full = obj.motion_guided_loss(agg.probs, mu, label, LossConfig())
     assert full.value.item() == pytest.approx(main - np.log(mu_vals[0] ** 2).sum())
     pos = obj.motion_guided_loss(
-        agg, mu, label, LossConfig(regularizer_mask="positive_only"))
+        agg.probs, mu, label, LossConfig(regularizer_mask="positive_only"))
     expect = main - np.log(mu_vals[0, 0] ** 2) - np.log(mu_vals[0, 2] ** 2)
     assert pos.value.item() == pytest.approx(expect)
     none = obj.motion_guided_loss(
-        agg, mu, label, LossConfig(regularizer_mask="none"))
+        agg.probs, mu, label, LossConfig(regularizer_mask="none"))
     assert none.value.item() == pytest.approx(main)
 
 
