@@ -150,7 +150,7 @@ def localize_video(tcas, r, cfg):
     stack = as_matrix(tcas, "tcas", batched=True)
     if stack.ndim != 3:
         raise ShapeMismatchError(f"tcas must be N x T x C, got shape {stack.shape}")
-    p = aggregate_topk(constant(stack), r).probs.value[:, 0, :]
+    p = aggregate_topk(constant(stack), r)[0].value[:, 0, :]
     chosen = p > cfg.theta_c
     fallback = np.flatnonzero(~chosen.any(axis=1))
     chosen[fallback, np.argmax(p[fallback], axis=1)] = True

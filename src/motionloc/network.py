@@ -51,13 +51,17 @@ class ModelParams:
     W1: np.ndarray = field(repr=False)   # fixed edge projections
     W2: np.ndarray = field(repr=False)
 
+    def named(self):
+        """(checkpoint name, node) of each trainable tensor, in the order of
+        Adam's flat vector and of the checkpoint's files."""
+        for name in ("embed", "cls", "mot"):
+            conv = getattr(self, name)
+            yield from ((f"{name}.tap{i}", tap) for i, tap in enumerate(conv.taps))
+            yield f"{name}.bias", conv.bias
+        yield from ((f"gcn.{i}", W) for i, W in enumerate(self.gcn))
+
     def trainable(self):
-        nodes = []
-        for conv in (self.embed, self.cls, self.mot):
-            nodes.extend(conv.taps)
-            nodes.append(conv.bias)
-        nodes.extend(self.gcn)
-        return nodes
+        return [node for _, node in self.named()]
 
 
 def _init_conv(rng, in_dim, out_dim):
@@ -154,17 +158,8 @@ def full_forward(videos, adjacency, params, mcfg):
 
 
 def _named_tensors(params):
-    out = []
-    for name, conv in (("embed", params.embed), ("cls", params.cls),
-                       ("mot", params.mot)):
-        for i, tap in enumerate(conv.taps):
-            out.append((f"{name}.tap{i}", tap.value))
-        out.append((f"{name}.bias", conv.bias.value))
-    for i, W in enumerate(params.gcn):
-        out.append((f"gcn.{i}", W.value))
-    out.append(("proj.W1", params.W1))
-    out.append(("proj.W2", params.W2))
-    return out
+    return [(name, node.value) for name, node in params.named()] + \
+        [("proj.W1", params.W1), ("proj.W2", params.W2)]
 
 
 def save_params(path, params):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .numcore import DiffNode, DomainError, as_matrix, constant
+from .numcore import DomainError, as_matrix, constant
 
 _PROB_FLOOR = 1e-12
 
@@ -34,21 +34,12 @@ class LossConfig:
                 f"loss_kind must be xe or motion_guided, got {self.loss_kind!r}")
 
 
-@dataclass
-class AggregationResult:
-    video_scores: DiffNode   # 1 x C top-k means (B x 1 x C for a batch)
-    probs: DiffNode          # softmax of the scores, same shape
-    topk_indices: np.ndarray # C x k selected snippets (B x C x k)
-    k: int
-
-
 def aggregate_topk(tcas, r):
-    """Top-k mean per class with k = max(1, floor(T / r))."""
-    k = max(1, tcas.rows // r)
-    scores, indices = nc.topk_mean_columns(tcas, k)
-    probs = nc.softmax_rows(scores)
-    return AggregationResult(video_scores=scores, probs=probs,
-                             topk_indices=indices, k=k)
+    """(probs, topk_indices): the softmax of each class's top-k mean with
+    k = max(1, floor(T / r)), 1 x C (B x 1 x C for a batch), and the
+    selected snippets, C x k (B x C x k)."""
+    scores, indices = nc.topk_mean_columns(tcas, max(1, tcas.rows // r))
+    return nc.softmax_rows(scores), indices
 
 
 def normalized_label(label):
@@ -80,7 +71,7 @@ def _log_probs(probs):
 
 def xe_loss(probs, label):
     """L = -sum_c yhat_c log p_c with yhat the normalized label and p the
-    class probabilities (AggregationResult.probs)."""
+    class probabilities aggregate_topk returns."""
     yhat = constant(_label_like(label, probs))
     return nc.scale(nc.sum_all(yhat * _log_probs(probs)), -1.0)
 
@@ -103,7 +94,7 @@ def video_motionness(motionness, topk_indices):
 def motion_guided_loss(probs, mu, label, cfg):
     """L = -sum_c mu_c^2 yhat_c log p_c - sum_{c in R} log mu_c^2.
 
-    p are the class probabilities (AggregationResult.probs) and mu the
+    p are the class probabilities aggregate_topk returns and mu the
     per-class motionness, both shaped like them. R is every class, only
     positive classes, or empty, per cfg.regularizer_mask.
     """
@@ -127,13 +118,13 @@ def motion_guided_loss(probs, mu, label, cfg):
 def per_video_loss(out, labels, cfg):
     """Dispatch on cfg.loss_kind given a ForwardOutput and one label per video.
 
-    Returns (loss, agg); the loss is B x 1 x 1, one value per video.
+    Returns (loss, probs); the loss is B x 1 x 1, one value per video.
     """
-    agg = aggregate_topk(out.tcas, cfg.r)
+    probs, topk_indices = aggregate_topk(out.tcas, cfg.r)
     if cfg.loss_kind == "xe":
-        return xe_loss(agg.probs, labels), agg
-    mu = video_motionness(out.motionness, agg.topk_indices)
-    return motion_guided_loss(agg.probs, mu, labels, cfg), agg
+        return xe_loss(probs, labels), probs
+    mu = video_motionness(out.motionness, topk_indices)
+    return motion_guided_loss(probs, mu, labels, cfg), probs
 
 
 def loss_surface(p_grid, mu_grid):

@@ -11,6 +11,7 @@ cells whose resolved configs coincide and training the distinct cells
 in worker processes.
 """
 
+import csv
 import dataclasses
 import json
 import math
@@ -77,20 +78,16 @@ class ExperimentConfig:
 
     def validate(self):
         # each section's message starts with its key; name the section too
-        for name in _SECTIONS:
-            try:
-                getattr(self, name).validate()
-            except ValueError as e:
-                raise ValueError(f"{name}.{e}") from e
+        for f in dataclasses.fields(self):
+            section = getattr(self, f.name)
+            if dataclasses.is_dataclass(section):
+                try:
+                    section.validate()
+                except ValueError as e:
+                    raise ValueError(f"{f.name}.{e}") from e
         ious = list(self.eval_iou)
         if not ious or any(not 0.0 < t <= 1.0 for t in ious):
             raise ValueError("eval_iou must be non-empty with values in (0,1]")
-
-
-_SECTIONS = {
-    "corpus": CorpusSpec, "graph": GraphConfig, "model": ModelConfig,
-    "loss": LossConfig, "train": TrainConfig, "inference": InferenceConfig,
-}
 
 
 def _fits(value, want):
@@ -138,7 +135,8 @@ def config_from_dict(data, base=None):
         raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
     merged = dataclasses.replace(cfg, **{
         key: (_merge_section(hints[key], getattr(cfg, key), value, key)
-              if key in _SECTIONS else _typed(value, hints[key], key))
+              if dataclasses.is_dataclass(hints[key])
+              else _typed(value, hints[key], key))
         for key, value in data.items()})
     try:
         merged.validate()
@@ -186,11 +184,19 @@ def _videos_per_tape(videos):
     return max(1, TAPE_SNIPPETS // lengths[0]) if lengths else 1
 
 
+def _adjacency(cfg, params, videos):
+    """The B x T x T adjacency stack of a run of videos, None in mlp mode:
+    one build_graph call on their stacked guidance features."""
+    feats = np.stack([guidance_features(v, cfg.model) for v in videos])
+    return build_graph(feats, params.W1, params.W2, cfg.graph).adjacency
+
+
 def run_training(cfg, train_videos, log=None):
     """Optimize fresh parameters on the given videos; returns (params, curve).
 
     The curve holds one (epoch, mean per-video loss) pair per epoch.
-    Each video's adjacency is built once up front and kept packed
+    The graphs are built once up front, in corpus order and in runs as
+    evaluation builds them, and each video's is kept packed
     (motiongraph.pack_adjacency); each tape unpacks its videos' graphs
     into one stack buffer that the whole run reuses. An mlp run keeps
     no graphs. Gradients accumulate over each shuffled mini-batch, tape
@@ -204,10 +210,8 @@ def run_training(cfg, train_videos, log=None):
     params = init_params(cfg.corpus.d, cfg.corpus.C, mcfg, cfg.train.seed)
     packed = stack = None
     if cfg.graph.mode != "mlp" and train_videos:
-        packed = [pack_adjacency(build_graph(guidance_features(v, mcfg),
-                                             params.W1, params.W2,
-                                             cfg.graph).adjacency)
-                  for v in train_videos]
+        packed = [pack_adjacency(A) for run in _batches(train_videos, per_tape)
+                  for A in _adjacency(cfg, params, run)]
         T = train_videos[0].T
         stack = np.empty((min(per_tape, cfg.train.batch_size), T, T))
     state = nc.adam_init(params.trainable(), lr=cfg.train.lr)
@@ -258,9 +262,7 @@ def run_evaluation(cfg, params, videos):
     gt_by_class = defaultdict(lambda: defaultdict(list))
     kls = []
     for run in _batches(videos, _videos_per_tape(videos)):
-        graph = build_graph(np.stack([guidance_features(v, mcfg) for v in run]),
-                            params.W1, params.W2, cfg.graph)
-        out = full_forward(run, graph.adjacency, params, mcfg)
+        out = full_forward(run, _adjacency(cfg, params, run), params, mcfg)
         tcas.append(out.tcas.value)
         for video, motionness in zip(run, out.motionness.value):
             kls.append(kl_guidance(motionness, video.gt_mask()))
@@ -363,23 +365,10 @@ def _inherit_jobs(jobs):
 
 
 def _train_cell(key):
-    """Pool worker: (params, None), or (None, the error text of the cell's row)."""
+    """Pool worker: the cell's trained params; an error reaches the parent
+    through the cell's future."""
     cfg, (train_videos, _) = _fork_jobs[key]
-    try:
-        return run_training(cfg, train_videos)[0], None
-    except Exception as e:  # the cell's row reports it; the matrix goes on
-        return None, _error_text(e)
-
-
-def _evaluate_cell(cfg, test_videos, trained):
-    """The cell's EvalReport, or the error text of its row."""
-    params, error = trained
-    if error:
-        return error
-    try:
-        return run_evaluation(cfg, params, test_videos)
-    except Exception as e:  # isolate the cell, keep the matrix alive
-        return _error_text(e)
+    return run_training(cfg, train_videos)[0]
 
 
 def _ablation_row(name, outcome):
@@ -399,7 +388,8 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
     corpus once. Each distinct cell then trains in a forked worker, one
     per CPU this process may use, while the parent evaluates and writes
     the rows in cell order, so the tables are those of a serial run.
-    A failing cell contributes an error row and the matrix continues.
+    A cell that fails to train or evaluate contributes an error row and
+    the matrix continues; a worker that dies ends the run.
     Returns {table: [row dict, ...]}.
     """
     out = resolve_out(out_dir)
@@ -439,7 +429,7 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
     # imported here: the pool's modules add 2 MB of RSS to every process
     # that imports runner, and only an ablation uses them
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     # fork: workers inherit the program and the corpora as loaded, where
     # spawn and forkserver would re-import the caller's __main__
@@ -456,8 +446,13 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
             for name, key, error in planned:
                 if key is not None and key not in outcomes:
                     cfg, (_, test_videos) = jobs[key]
-                    outcomes[key] = _evaluate_cell(cfg, test_videos,
-                                                   trained[key].result())
+                    try:
+                        outcomes[key] = run_evaluation(
+                            cfg, trained[key].result(), test_videos)
+                    except BrokenExecutor:
+                        raise  # a dead worker is no cell's error
+                    except Exception as e:  # the cell's row reports it
+                        outcomes[key] = _error_text(e)
                 rows.append(_ablation_row(name, error or outcomes[key]))
             results[tname] = rows
             _write_ablation_csv(out / f"ablation_{tname}.csv", rows)
@@ -469,12 +464,9 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
 def _write_ablation_csv(path, rows):
     cols = ["name"] + [f"map_{t}" for t in ABLATION_IOUS] + \
         ["avg_map", "kl", "error"]
-    lines = [",".join(cols)]
-    for row in rows:
-        cells = []
-        for col in cols:
-            v = row.get(col)
-            cells.append("" if v is None else
-                         (v if isinstance(v, str) else repr(v)))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # csv writes None as an empty cell and a float as its repr, and
+    # quotes a cell (an error text) that holds a comma
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerows([row.get(col) for col in cols] for row in rows)

@@ -36,7 +36,7 @@ class Proposal:
 
 def classify_video(tcas, r, theta_c):
     """Classes whose softmax top-k video score clears theta_c (argmax fallback)."""
-    p = aggregate_topk(constant(tcas), r).probs.value[0]
+    p = aggregate_topk(constant(tcas), r)[0].value[0]
     chosen = [c for c in range(p.size) if p[c] > theta_c]
     return chosen or [int(np.argmax(p))]
 

@@ -10,30 +10,37 @@ from motionloc.numcore import DomainError, constant
 from motionloc.objective import LossConfig
 
 
-def _agg_from_probs(probs):
-    """Aggregation stub whose softmax output is forced to `probs`."""
+def _forced_probs(probs):
+    """A softmax node whose output is forced to `probs`."""
     p = np.asarray(probs, dtype=np.float64).reshape(1, -1)
-    scores = constant(np.log(p))
-    return obj.AggregationResult(video_scores=scores,
-                                 probs=nc.softmax_rows(scores),
-                                 topk_indices=[[0]] * p.shape[1], k=1)
+    return nc.softmax_rows(constant(np.log(p)))
+
+
+def _topk_means(tcas, r):
+    """aggregate_topk's probabilities, selection and k, and the top-k
+    means whose softmax its probabilities are."""
+    probs, indices = obj.aggregate_topk(tcas, r)
+    k = indices.shape[-1]
+    scores, _ = nc.topk_mean_columns(tcas, k)
+    np.testing.assert_array_equal(probs.value, nc.softmax_rows(scores).value)
+    return probs, indices, k, scores
 
 
 def test_topk_k1_is_column_max():
     tcas = constant(np.array([[0.1, 2.0], [0.7, 1.0], [0.3, 5.0],
                               [0.2, 0.0], [0.9, 1.0], [0.4, 2.0],
                               [0.0, 0.1], [0.5, 0.2]]))
-    agg = obj.aggregate_topk(tcas, r=8)
-    assert agg.k == 1
-    np.testing.assert_allclose(agg.video_scores.value, [[0.9, 5.0]])
+    _, _, k, scores = _topk_means(tcas, r=8)
+    assert k == 1
+    np.testing.assert_allclose(scores.value, [[0.9, 5.0]])
 
 
 def test_topk_hand_case():
     tcas = constant(np.array([[3.0], [1.0], [2.0], [0.0]]))
-    agg = obj.aggregate_topk(tcas, r=2)
-    assert agg.k == 2
-    assert agg.video_scores.value.item() == pytest.approx(2.5)
-    assert sorted(agg.topk_indices[0]) == [0, 2]
+    _, indices, k, scores = _topk_means(tcas, r=2)
+    assert k == 2
+    assert scores.value.item() == pytest.approx(2.5)
+    assert sorted(indices[0]) == [0, 2]
 
 
 def test_topk_sort_oracle():
@@ -43,36 +50,36 @@ def test_topk_sort_oracle():
         C = int(rng.integers(1, 5))
         r = int(rng.integers(1, 10))
         vals = rng.standard_normal((T, C))
-        agg = obj.aggregate_topk(constant(vals), r)
-        k = max(1, T // r)
+        probs, _, k, scores = _topk_means(constant(vals), r)
+        assert k == max(1, T // r)
         for c in range(C):
             expect = np.sort(vals[:, c])[::-1][:k].mean()
-            assert agg.video_scores.value[0, c] == pytest.approx(expect)
-        np.testing.assert_allclose(agg.probs.value.sum(), 1.0, atol=1e-12)
+            assert scores.value[0, c] == pytest.approx(expect)
+        np.testing.assert_allclose(probs.value.sum(), 1.0, atol=1e-12)
 
 
 def test_topk_shift_invariance_of_index_sets():
     rng = np.random.default_rng(1)
     vals = rng.standard_normal((10, 3))
-    a = obj.aggregate_topk(constant(vals), r=3)
+    _, a = obj.aggregate_topk(constant(vals), r=3)
     shifted = vals.copy()
     shifted[:, 1] += 100.0
-    b = obj.aggregate_topk(constant(shifted), r=3)
+    _, b = obj.aggregate_topk(constant(shifted), r=3)
     for c in range(3):
-        assert sorted(a.topk_indices[c]) == sorted(b.topk_indices[c])
+        assert sorted(a[c]) == sorted(b[c])
 
 
 def test_xe_loss_values():
     # perfect single positive
     loss = obj.xe_loss(
-        _agg_from_probs([1 - 4e-12, 1e-12, 1e-12, 1e-12, 1e-12]).probs,
+        _forced_probs([1 - 4e-12, 1e-12, 1e-12, 1e-12, 1e-12]),
         [1, 0, 0, 0, 0])
     assert abs(loss.value.item()) < 1e-9
     # uniform over 5
-    loss = obj.xe_loss(_agg_from_probs([0.2] * 5).probs, [0, 0, 1, 0, 0])
+    loss = obj.xe_loss(_forced_probs([0.2] * 5), [0, 0, 1, 0, 0])
     assert loss.value.item() == pytest.approx(math.log(5), rel=1e-12)
     # two positives matched exactly: entropy of yhat
-    loss = obj.xe_loss(_agg_from_probs([0.5, 0.5, 0.0 + 1e-12]).probs, [1, 1, 0])
+    loss = obj.xe_loss(_forced_probs([0.5, 0.5, 0.0 + 1e-12]), [1, 1, 0])
     assert loss.value.item() == pytest.approx(math.log(2), rel=1e-9)
 
 
@@ -83,10 +90,7 @@ def test_xe_loss_class_permutation_invariance():
     perm = rng.permutation(6)
 
     def loss_of(s, y):
-        agg = obj.AggregationResult(
-            video_scores=constant(s), probs=nc.softmax_rows(constant(s)),
-            topk_indices=[[0]] * 6, k=1)
-        return obj.xe_loss(agg.probs, y).value.item()
+        return obj.xe_loss(nc.softmax_rows(constant(s)), y).value.item()
 
     assert loss_of(scores, label) == pytest.approx(
         loss_of(scores[perm], label[perm]), rel=1e-12)
@@ -123,13 +127,10 @@ def test_motion_guided_collapses_to_xe_at_mu_one():
         label[rng.integers(0, C)] = 1
         if rng.random() < 0.4:
             label[rng.integers(0, C)] = 1
-        agg = obj.AggregationResult(
-            video_scores=constant(scores),
-            probs=nc.softmax_rows(constant(scores)),
-            topk_indices=[[0]] * C, k=1)
+        probs = nc.softmax_rows(constant(scores))
         mu = constant(np.full((1, C), 1.0 - 1e-9))
-        lg = obj.motion_guided_loss(agg.probs, mu, label, LossConfig())
-        la = obj.xe_loss(agg.probs, label)
+        lg = obj.motion_guided_loss(probs, mu, label, LossConfig())
+        la = obj.xe_loss(probs, label)
         assert abs(lg.value.item() - la.value.item()) < 1e-6
 
 
@@ -174,23 +175,21 @@ def test_loss_surface_rejects_boundary():
 def test_regularizer_masks():
     scores = np.array([[2.0, -1.0, 0.5]])
     label = np.array([1, 0, 1], dtype=float)
-    agg = obj.AggregationResult(
-        video_scores=constant(scores), probs=nc.softmax_rows(constant(scores)),
-        topk_indices=[[0]] * 3, k=1)
+    probs = nc.softmax_rows(constant(scores))
     mu_vals = np.array([[0.3, 0.6, 0.9]])
     mu = constant(mu_vals)
     yhat = label / label.sum()
     p = np.exp(scores[0]) / np.exp(scores[0]).sum()
     main = -(mu_vals[0] ** 2 * yhat * np.log(p)).sum()
 
-    full = obj.motion_guided_loss(agg.probs, mu, label, LossConfig())
+    full = obj.motion_guided_loss(probs, mu, label, LossConfig())
     assert full.value.item() == pytest.approx(main - np.log(mu_vals[0] ** 2).sum())
     pos = obj.motion_guided_loss(
-        agg.probs, mu, label, LossConfig(regularizer_mask="positive_only"))
+        probs, mu, label, LossConfig(regularizer_mask="positive_only"))
     expect = main - np.log(mu_vals[0, 0] ** 2) - np.log(mu_vals[0, 2] ** 2)
     assert pos.value.item() == pytest.approx(expect)
     none = obj.motion_guided_loss(
-        agg.probs, mu, label, LossConfig(regularizer_mask="none"))
+        probs, mu, label, LossConfig(regularizer_mask="none"))
     assert none.value.item() == pytest.approx(main)
 
 

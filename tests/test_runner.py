@@ -1,9 +1,12 @@
 """Training loop, evaluation, config plumbing, and ablation driver."""
 
+import csv
 import dataclasses
 import json
 import math
 import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -134,13 +137,19 @@ class TestTraining:
         _, curve_b = run_training(tiny_cfg(train={"seed": 1}), train_videos)
         assert curve_a != curve_b
 
-    def test_tape_bound_does_not_change_training(self, monkeypatch):
-        cfg = tiny_cfg(corpus={"n_train": 20}, train={"epochs": 2})
+    @pytest.mark.parametrize("mode", ["sparse", "dense"])
+    def test_tape_bound_does_not_change_training(self, monkeypatch, mode):
+        cfg = tiny_cfg(corpus={"n_train": 20}, train={"epochs": 2},
+                       graph={"mode": mode})
         train_videos, _ = generate_corpus(cfg.corpus)
+        builds = _count_builds(monkeypatch)
         params_a, curve_a = run_training(cfg, train_videos)
-        # one video per tape instead of eight
+        assert builds == [8, 8, 4]
+        builds.clear()
+        # one video per tape and per graph build instead of eight
         monkeypatch.setattr(runner, "TAPE_SNIPPETS", 1)
         params_b, curve_b = run_training(cfg, train_videos)
+        assert builds == [1] * 20
         assert curve_a == curve_b
         for a, b in zip(params_a.trainable(), params_b.trainable()):
             np.testing.assert_array_equal(a.value, b.value)
@@ -153,12 +162,15 @@ class TestTraining:
             return pack_adjacency(adjacency)
 
         monkeypatch.setattr(runner, "pack_adjacency", counted)
-        train_videos, _ = generate_corpus(tiny_cfg().corpus)
+        builds = _count_builds(monkeypatch)
+        train_videos, _ = generate_corpus(tiny_cfg(corpus={"n_train": 20}).corpus)
         run_training(tiny_cfg(graph={"mode": "sparse"}), train_videos)
         assert calls == [(64, 64)] * len(train_videos)
+        assert len(builds) == math.ceil(len(train_videos) / 8)
         calls.clear()
+        builds.clear()
         run_training(tiny_cfg(graph={"mode": "mlp"}), train_videos)
-        assert calls == []
+        assert calls == [] and builds == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_names_first_video_in_batch_order(self):
@@ -189,6 +201,18 @@ class TestTraining:
                                cfg.model)
         for got, want in zip(restored.trainable(), params.trainable()):
             np.testing.assert_array_equal(got.value, want.value)
+
+
+def _count_builds(monkeypatch):
+    """The number of videos of each runner.build_graph call, in order."""
+    builds = []
+
+    def counted(motion, *args):
+        builds.append(len(motion))
+        return build_graph(motion, *args)
+
+    monkeypatch.setattr(runner, "build_graph", counted)
+    return builds
 
 
 def _graphs(cfg, videos):
@@ -285,9 +309,14 @@ class TestAblation:
         assert "GenerationError" in rows[0]["error"]
         assert rows[0]["avg_map"] is None
         assert rows[1]["error"] == "" and rows[1]["avg_map"] is not None
-        csv = (tmp_path / "ablation_t.csv").read_text().splitlines()
-        assert csv[0].startswith("name,map_0.3")
-        assert len(csv) == 3
+        text = (tmp_path / "ablation_t.csv").read_text()
+        assert text.startswith("name,map_0.3")
+        # the error text holds commas; each row keeps the header's 8 fields
+        table = list(csv.reader(text.splitlines()))
+        assert len(table) == 3
+        assert all(len(fields) == 8 for fields in table)
+        assert table[0][-1] == "error"
+        assert table[1][-1] == rows[0]["error"] and "," in rows[0]["error"]
 
     def test_default_matrix_shape(self):
         matrix = default_ablation_matrix()
@@ -348,6 +377,14 @@ class TestAblation:
             run_ablation(cfg, matrix, tmp_path)
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "ablation_t2.csv").exists()
+
+    def test_a_dead_worker_ends_the_run(self, monkeypatch, tmp_path):
+        # the forked worker inherits the patch and exits without a result
+        monkeypatch.setattr(runner, "run_training", lambda *a, **k: os._exit(3))
+        with pytest.raises(BrokenProcessPool):
+            run_ablation(tiny_cfg(), {"tables": {"t": [{"name": "base"}]}},
+                         tmp_path)
+        assert multiprocessing.active_children() == []
 
 
 def _serial_ablation(base_cfg, matrix):
