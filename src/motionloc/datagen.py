@@ -8,7 +8,9 @@ snippets look like an action class while their motion stays background,
 mimicking stationary narration frames that fool appearance-only models.
 The corpus lives only in memory: it is a pure function of its spec, so
 every run regenerates it, and a sha256 fingerprint stands in for a copy
-on disk when two corpora must be compared.
+on disk when two corpora must be compared. Each split keeps each stream
+in one count x T x d float32 block, and a video's streams are row views
+of its split's two blocks.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .numcore import split_rng
 
@@ -56,14 +57,16 @@ class CorpusSpec:
             raise ValueError("confounder_rate must lie in [0, 1]")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
 class SyntheticVideo:
     id: str
     T: int
-    appearance: np.ndarray            # T x d, float32
-    motion: np.ndarray                # T x d, float32
+    appearance: np.ndarray            # T x d float32, a row of its split's block
+    motion: np.ndarray                # T x d float32, a row of its split's block
     gt_intervals: list[tuple[int, int, int]]  # (start, end inclusive, class)
     label: np.ndarray                 # multi-hot, length C
     confounder_idx: list[int] = field(default_factory=list)
@@ -96,10 +99,11 @@ def _smoothed_noise(rng: np.random.Generator, T: int, d: int) -> np.ndarray:
     """Unit-variance Gaussian noise with short-range temporal correlation."""
     L = NOISE_SMOOTHING
     white = rng.standard_normal((T + L - 1, d))
-    out = np.zeros((T, d))
-    for w in range(L):
+    out = white[0:T] + white[1 : 1 + T]
+    for w in range(2, L):
         out += white[w : w + T]
-    return out / np.sqrt(L)
+    out /= np.sqrt(L)
+    return out
 
 
 def _place_intervals(rng: np.random.Generator, T: int,
@@ -130,7 +134,9 @@ def _place_intervals(rng: np.random.Generator, T: int,
 
 def _generate_video(spec: CorpusSpec, vid: str, rng: np.random.Generator,
                     motion_protos: np.ndarray, appearance_protos: np.ndarray,
-                    background_proto: np.ndarray) -> SyntheticVideo:
+                    background_proto: np.ndarray, appearance_row: np.ndarray,
+                    motion_row: np.ndarray) -> SyntheticVideo:
+    """One video, its streams rounded into the given T x d float32 rows."""
     T, d, C = spec.T, spec.d, spec.C
     n_int = int(rng.integers(1, 4))
     n_cls = int(rng.integers(1, min(2, C) + 1))
@@ -172,12 +178,14 @@ def _generate_video(spec: CorpusSpec, vid: str, rng: np.random.Generator,
     occupied = inside.copy()
     budget = int(round(spec.confounder_rate * int((~inside).sum())))
     while budget > 0:
+        # filled[i] counts the occupied snippets before i, so a run of
+        # run_len from s is free when filled[s + run_len] == filled[s]
+        filled = np.concatenate(([0], np.cumsum(occupied)))
         run_len = min(budget, int(rng.integers(MIN_CONFOUNDER_LEN,
                                                MAX_CONFOUNDER_LEN + 1)))
         placed = False
         while run_len >= 1:
-            starts = np.flatnonzero(
-                ~sliding_window_view(occupied, run_len).any(axis=1))
+            starts = np.flatnonzero(filled[run_len:] == filled[:-run_len])
             if starts.size:
                 s = int(starts[int(rng.integers(0, starts.size))])
                 c = int(rng.choice(label_classes))
@@ -197,12 +205,13 @@ def _generate_video(spec: CorpusSpec, vid: str, rng: np.random.Generator,
 
     # round to f32 once and keep f32: every pinned artifact (loss curves,
     # reports, ablation tables, the generate fingerprint) comes from
-    # f32-valued streams, which every consumer widens to f64 exactly
-    appearance = appearance.astype(np.float32)
-    motion = motion.astype(np.float32)
+    # f32-valued streams, which every consumer widens to f64 exactly;
+    # assignment rounds as astype does
+    appearance_row[...] = appearance
+    motion_row[...] = motion
 
     video = SyntheticVideo(
-        id=vid, T=T, appearance=appearance, motion=motion,
+        id=vid, T=T, appearance=appearance_row, motion=motion_row,
         gt_intervals=[tuple(iv) for iv in intervals], label=label,
         confounder_idx=confounder_idx,
     )
@@ -226,10 +235,15 @@ def generate_corpus(spec: CorpusSpec) -> tuple[list[SyntheticVideo], list[Synthe
     background_proto = draw_protos(1)[0]
 
     def make(split: str, count: int, offset: int) -> list[SyntheticVideo]:
+        # one block per stream, allocated before the float64 temporaries
+        # of generation, so the rows do not sit between them on the heap
+        appearance = np.empty((count, spec.T, spec.d), dtype=np.float32)
+        motion = np.empty((count, spec.T, spec.d), dtype=np.float32)
         return [
             _generate_video(
                 spec, f"{split}-{i:04d}", split_rng(spec.seed, _VIDEO_STREAM, offset + i),
                 motion_protos, appearance_protos, background_proto,
+                appearance[i], motion[i],
             )
             for i in range(count)
         ]

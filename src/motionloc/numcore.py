@@ -430,10 +430,12 @@ def topk_mean_columns(a: DiffNode, k: int) -> tuple[DiffNode, np.ndarray]:
     """
     if not 1 <= k <= a.rows:
         raise ShapeMismatchError(f"topk-mean: k={k} outside [1, {a.rows}]")
-    # class-major copy, so each column is a contiguous row; a stable
-    # sort of its negation sends ties to the lower index
-    columns = np.ascontiguousarray(_swap(a.value))
-    indices = np.ascontiguousarray(np.argsort(-columns, axis=-1, kind="stable")[..., :k])
+    # the negation, written class-major, is the one copy of the input:
+    # each column is a contiguous row, and its stable sort sends ties to
+    # the lower index
+    columns = _swap(a.value)
+    negated = np.negative(columns, out=np.empty(columns.shape))
+    indices = np.ascontiguousarray(np.argsort(negated, axis=-1, kind="stable")[..., :k])
     picks = _column_picks(indices)
     # each column's picks contiguous, so the mean reduces the same k
     # values in the same order whatever the batch shape

@@ -63,6 +63,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -249,26 +251,32 @@ def run_training(cfg, train_videos, log=None):
 def run_evaluation(cfg, params, videos):
     """Inference + mAP + mean per-video KL for one parameter set.
 
-    The videos share one clip length. They are taken in order, in runs
-    that TAPE_SNIPPETS bounds as in training; each run gets one graph
-    build and one forward. Localization then runs once over the split's
-    N x T x C stack. The report is bit for bit that of one video at a
-    time.
+    The videos, at least one, share one clip length. They are taken in
+    order, in runs that TAPE_SNIPPETS bounds as in training; each run
+    gets one graph build and one forward, whose TCAS fills its rows of
+    the split's one N x T x C stack. Localization then runs once over
+    that stack. The report is bit for bit that of one video at a time.
     """
     cfg.graph.validate()
     cfg.inference.validate()
+    if not videos:
+        raise nc.DomainError("evaluation needs at least one video")
     mcfg = cfg.model
-    tcas = []
+    per_run = _videos_per_tape(videos)
+    tcas = None
     gt_by_class = defaultdict(lambda: defaultdict(list))
     kls = []
-    for run in _batches(videos, _videos_per_tape(videos)):
+    for start in range(0, len(videos), per_run):
+        run = videos[start:start + per_run]
         out = full_forward(run, _adjacency(cfg, params, run), params, mcfg)
-        tcas.append(out.tcas.value)
+        if tcas is None:
+            tcas = np.empty((len(videos),) + out.tcas.value.shape[1:])
+        tcas[start:start + len(run)] = out.tcas.value
         for video, motionness in zip(run, out.motionness.value):
             kls.append(kl_guidance(motionness, video.gt_mask()))
             for s, e, c in video.gt_intervals:
                 gt_by_class[c][video.id].append((s, e))
-    dets = localize_video(np.concatenate(tcas), cfg.loss.r, cfg.inference)
+    dets = localize_video(tcas, cfg.loss.r, cfg.inference)
     gt = {c: dict(v) for c, v in gt_by_class.items()}
     report = map_at(dets, [v.id for v in videos], gt, cfg.eval_iou)
     report.kl[mcfg.guidance_stream] = float(np.mean(kls))

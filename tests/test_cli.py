@@ -412,6 +412,35 @@ class TestMalformedConfig:
         assert not (tmp_path / "adj.csv").exists()
 
 
+class TestNegativeSeeds:
+    """A seed below 0 is refused by name before any directory or corpus
+    exists, not by numpy's seeding."""
+
+    def test_generate_seed_flag(self, capsys):
+        assert main(["generate", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: corpus.seed must be >= 0, got -1\n"
+        assert not captured.out
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_train_seed_flag(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--config", write_cfg(tmp_path), "--seed", "-1",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: train.seed must be >= 0, got -1\n"
+        assert not captured.out and not out.exists()
+
+    @pytest.mark.parametrize("section", ["corpus", "train"])
+    def test_config_seed(self, tmp_path, capsys, section):
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, {section: {"seed": -3}, "out_dir": str(out)})
+        assert main(["train", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {section}.seed must be >= 0, got -3\n"
+        assert not captured.out and not out.exists()
+
+
 def _entry(name, **fields):
     """A manifest edit: tensor name's entry with fields replaced."""
     return lambda m: {**m, name: {**m[name], **fields}}

@@ -181,3 +181,22 @@ def test_spec_validation():
         CorpusSpec(confounder_rate=1.5).validate()
     with pytest.raises(ValueError):
         CorpusSpec(noise_sigma=-0.1).validate()
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        CorpusSpec(seed=-1).validate()
+
+
+def test_streams_are_rows_of_one_block_per_split_and_stream():
+    train, test = datagen.generate_corpus(SMALL)
+    blocks = {}
+    for split, videos in (("train", train), ("test", test)):
+        for stream in ("appearance", "motion"):
+            rows = [getattr(v, stream) for v in videos]
+            block = rows[0].base
+            assert block.shape == (len(videos), SMALL.T, SMALL.d)
+            assert block.dtype == np.float32 and block.flags.c_contiguous
+            for i, row in enumerate(rows):
+                assert row.dtype == np.float32 and row.flags.c_contiguous
+                assert row.base is block and row.ctypes.data == block[i].ctypes.data
+            blocks[split, stream] = block
+    assert not any(np.shares_memory(a, b) for a in blocks.values()
+                   for b in blocks.values() if a is not b)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,20 @@ def test_topk_mean_is_the_per_column_mean_bit_for_bit():
                 picks = np.argsort(-m[:, c], kind="stable")[:12]
                 assert idx.reshape(len(stack), 5, 12)[b, c].tolist() == picks.tolist()
                 assert got[b, c] == m[picks, c].mean()
+
+
+def test_topk_mean_copies_its_input_once():
+    """The class-major negation is the one whole-stack copy besides the
+    argsort's indices: the traced peak stays under 2.5 x the input."""
+    a = nc.constant(np.full((40, 256, 5), 0.5))
+    nc.topk_mean_columns(a, 32)  # warm up numpy's one-off allocations
+    tracemalloc.start()
+    try:
+        nc.topk_mean_columns(a, 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * a.value.nbytes, peak / a.value.nbytes
 
 
 def test_log_domain_error():

@@ -262,6 +262,12 @@ class TestEvaluation:
         b = run_evaluation(cfg, params, test_videos)
         assert a.to_json() == b.to_json()
 
+    def test_no_videos_is_a_named_error(self):
+        cfg = tiny_cfg()
+        params = init_params(cfg.corpus.d, cfg.corpus.C, cfg.model, 0)
+        with pytest.raises(nc.DomainError, match="at least one video"):
+            run_evaluation(cfg, params, [])
+
     def test_evaluate_params_writes_reports(self, tmp_path):
         cfg = tiny_cfg()
         params = init_params(cfg.corpus.d, cfg.corpus.C, cfg.model, 0)
