@@ -4,8 +4,8 @@ Subcommands cover the whole pipeline: a corpus summary with its
 fingerprint (every run regenerates the corpus from its spec; none is
 stored), training, evaluation from a checkpoint, the ablation matrix,
 the loss-surface dump, and a per-video adjacency dump. Exit codes: 0 on
-success, 1 on usage errors, 2 on runtime failures (bad config, missing
-files, diverged training).
+success, 1 on usage errors, 2 on runtime failures (bad config, paths
+the system refuses, diverged training).
 """
 
 import argparse
@@ -219,8 +219,7 @@ def build_parser():
 
 
 _RUNTIME_ERRORS = (ConfigError, TrainingError, GenerationError, DomainError,
-                   NonFiniteError, ShapeMismatchError, FileNotFoundError,
-                   NotADirectoryError, ValueError)
+                   NonFiniteError, ShapeMismatchError, OSError, ValueError)
 
 
 def main(argv=None):

@@ -7,8 +7,9 @@ iterates shuffled mini-batches, runs each on as few batched tapes as
 TAPE_SNIPPETS allows, accumulates gradients in video order,
 and takes one Adam step per batch. The ablation driver reruns the
 pipeline over named config deltas and writes one CSV per table, caching
-cells whose resolved configs coincide and training the distinct cells
-in worker processes.
+cells whose resolved configs coincide. Each distinct cell trains and
+runs its evaluation forwards in a worker process; the parent localizes
+and scores what the workers return.
 """
 
 import csv
@@ -249,37 +250,49 @@ def run_training(cfg, train_videos, log=None):
 
 
 def run_evaluation(cfg, params, videos):
-    """Inference + mAP + mean per-video KL for one parameter set.
+    """Inference + mAP + mean per-video KL for one parameter set: the
+    forwards of _activations, then one _report over their TCAS stack.
+    The report is bit for bit that of one video at a time."""
+    return _report(cfg, videos, *_activations(cfg, params, videos))
+
+
+def _activations(cfg, params, videos):
+    """The videos' N x T x C TCAS stack and mean per-video KL.
 
     The videos, at least one, share one clip length. They are taken in
     order, in runs that TAPE_SNIPPETS bounds as in training; each run
     gets one graph build and one forward, whose TCAS fills its rows of
-    the split's one N x T x C stack. Localization then runs once over
-    that stack. The report is bit for bit that of one video at a time.
+    the stack.
     """
     cfg.graph.validate()
     cfg.inference.validate()
     if not videos:
         raise nc.DomainError("evaluation needs at least one video")
-    mcfg = cfg.model
     per_run = _videos_per_tape(videos)
     tcas = None
-    gt_by_class = defaultdict(lambda: defaultdict(list))
     kls = []
     for start in range(0, len(videos), per_run):
         run = videos[start:start + per_run]
-        out = full_forward(run, _adjacency(cfg, params, run), params, mcfg)
+        out = full_forward(run, _adjacency(cfg, params, run), params, cfg.model)
         if tcas is None:
             tcas = np.empty((len(videos),) + out.tcas.value.shape[1:])
         tcas[start:start + len(run)] = out.tcas.value
         for video, motionness in zip(run, out.motionness.value):
             kls.append(kl_guidance(motionness, video.gt_mask()))
-            for s, e, c in video.gt_intervals:
-                gt_by_class[c][video.id].append((s, e))
+    return tcas, float(np.mean(kls))
+
+
+def _report(cfg, videos, tcas, kl):
+    """EvalReport of the videos' TCAS stack, localized in one call and
+    scored against their ground truth; kl is their mean per-video KL."""
+    gt_by_class = defaultdict(lambda: defaultdict(list))
+    for video in videos:
+        for s, e, c in video.gt_intervals:
+            gt_by_class[c][video.id].append((s, e))
     dets = localize_video(tcas, cfg.loss.r, cfg.inference)
     gt = {c: dict(v) for c, v in gt_by_class.items()}
     report = map_at(dets, [v.id for v in videos], gt, cfg.eval_iou)
-    report.kl[mcfg.guidance_stream] = float(np.mean(kls))
+    report.kl[cfg.model.guidance_stream] = kl
     return report
 
 
@@ -372,11 +385,13 @@ def _inherit_jobs(jobs):
     _fork_jobs = jobs
 
 
-def _train_cell(key):
-    """Pool worker: the cell's trained params; an error reaches the parent
-    through the cell's future."""
-    cfg, (train_videos, _) = _fork_jobs[key]
-    return run_training(cfg, train_videos)[0]
+def _run_cell(key):
+    """Pool worker: train the cell, then run the evaluation forwards on
+    the test split it inherited. The parent localizes the returned
+    (TCAS stack, mean KL), where perfbench's tracer counts proposals;
+    an error reaches the parent through the cell's future."""
+    cfg, (train_videos, test_videos) = _fork_jobs[key]
+    return _activations(cfg, run_training(cfg, train_videos)[0], test_videos)
 
 
 def _ablation_row(name, outcome):
@@ -394,10 +409,12 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
 
     The parent resolves the cells in table order and generates each
     corpus once. Each distinct cell then trains in a forked worker, one
-    per CPU this process may use, while the parent evaluates and writes
-    the rows in cell order, so the tables are those of a serial run.
-    A cell that fails to train or evaluate contributes an error row and
-    the matrix continues; a worker that dies ends the run.
+    per CPU this process may use, which runs the evaluation forwards on
+    the test split it inherited and returns their TCAS stack and mean KL.
+    The parent localizes and scores each stack and writes the rows in
+    cell order, so the tables are those of a serial run. A cell that
+    fails to train or evaluate contributes an error row and the matrix
+    continues; a worker that dies ends the run.
     Returns {table: [row dict, ...]}.
     """
     out = resolve_out(out_dir)
@@ -446,7 +463,7 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
                                mp_context=multiprocessing.get_context("fork"),
                                initializer=_inherit_jobs, initargs=(jobs,))
     try:
-        trained = {key: pool.submit(_train_cell, key) for key in jobs}
+        forwards = {key: pool.submit(_run_cell, key) for key in jobs}
         outcomes = {}
         results = {}
         for tname, planned in plan.items():
@@ -455,8 +472,8 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
                 if key is not None and key not in outcomes:
                     cfg, (_, test_videos) = jobs[key]
                     try:
-                        outcomes[key] = run_evaluation(
-                            cfg, trained[key].result(), test_videos)
+                        outcomes[key] = _report(cfg, test_videos,
+                                                *forwards[key].result())
                     except BrokenExecutor:
                         raise  # a dead worker is no cell's error
                     except Exception as e:  # the cell's row reports it

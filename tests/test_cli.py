@@ -583,6 +583,35 @@ class TestDumpGraph:
         assert "out of range" in capsys.readouterr().err
 
 
+class TestRefusedPaths:
+    """A path the OS refuses ends in one error line and exit 2."""
+
+    @pytest.mark.parametrize("argv, refused, reason", [
+        (["loss-surface", "--grid", "2", "--out", "{dir}"], "dir",
+         "Is a directory"),
+        (["dump-graph", "--config", "{cfg}", "--out", "{dir}"], "dir",
+         "Is a directory"),
+        (["loss-surface", "--grid", "2", "--out", "{file}/x.csv"], "file",
+         "File exists"),
+        (["ablate", "--config", "{cfg}", "--matrix", "{dir}",
+          "--out", "{dir}/abl"], "dir", "Is a directory"),
+        (["ablate", "--config", "{cfg}", "--out", "{file}"], "file",
+         "File exists"),
+    ], ids=["surface-out-dir", "graph-out-dir", "surface-out-under-file",
+            "ablate-matrix-dir", "ablate-out-file"])
+    def test_exits_2(self, tmp_path, capsys, argv, refused, reason):
+        paths = {"dir": tmp_path / "d", "file": tmp_path / "f",
+                 "cfg": write_cfg(tmp_path)}
+        paths["dir"].mkdir()
+        paths["file"].write_text("")
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: ") and reason in err[0], err
+        assert str(paths[refused]) in err[0], err
+        assert not any(tmp_path.glob("d/abl*")), "nothing is written"
+
+
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
         assert main(["train", "--bogus"]) == 1

@@ -384,6 +384,35 @@ class TestAblation:
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "ablation_t2.csv").exists()
 
+    def test_the_parent_runs_no_forward(self, monkeypatch, tmp_path):
+        # patched before the pool forks: the workers inherit the patches,
+        # and the counter counts only the parent's own calls
+        calls = []
+        activations, forward = runner._activations, runner.full_forward
+
+        def counted_activations(cfg, params, videos):
+            calls.append("activations")
+            if cfg.loss.loss_kind == "xe":
+                raise nc.DomainError("no forward for xe")
+            return activations(cfg, params, videos)
+
+        def counted_forward(*args):
+            calls.append("full_forward")
+            return forward(*args)
+
+        monkeypatch.setattr(runner, "_activations", counted_activations)
+        monkeypatch.setattr(runner, "full_forward", counted_forward)
+        rows = run_ablation(tiny_cfg(), {"tables": {"t": [
+            {"name": "base"},
+            {"name": "xe", "overrides": {"loss": {"loss_kind": "xe"}}},
+            {"name": "dense", "overrides": {"graph": {"mode": "dense"}}},
+        ]}}, tmp_path)["t"]
+        assert rows[1]["error"] == "DomainError: no forward for xe"
+        assert rows[1]["avg_map"] is None
+        assert rows[0]["error"] == rows[2]["error"] == ""
+        assert None not in (rows[0]["avg_map"], rows[2]["avg_map"])
+        assert calls == []
+
     def test_a_dead_worker_ends_the_run(self, monkeypatch, tmp_path):
         # the forked worker inherits the patch and exits without a result
         monkeypatch.setattr(runner, "run_training", lambda *a, **k: os._exit(3))
