@@ -7,13 +7,14 @@ iterates shuffled mini-batches, runs each on as few batched tapes as
 TAPE_SNIPPETS allows, accumulates gradients in video order,
 and takes one Adam step per batch. The ablation driver reruns the
 pipeline over named config deltas and writes one CSV per table, caching
-cells whose resolved configs coincide. Each distinct cell trains and
-runs its evaluation forwards in a worker process; the parent localizes
-and scores what the workers return.
+cells whose resolved configs coincide. Each distinct cell generates its
+corpus, trains and runs its evaluation forwards in a worker process; the
+parent localizes and scores what the workers return, and holds no corpus.
 """
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -253,11 +254,12 @@ def run_evaluation(cfg, params, videos):
     """Inference + mAP + mean per-video KL for one parameter set: the
     forwards of _activations, then one _report over their TCAS stack.
     The report is bit for bit that of one video at a time."""
-    return _report(cfg, videos, *_activations(cfg, params, videos))
+    return _report(cfg, *_activations(cfg, params, videos))
 
 
 def _activations(cfg, params, videos):
-    """The videos' N x T x C TCAS stack and mean per-video KL.
+    """What _report scores: the videos' (id, gt_intervals) pairs, N x T x C
+    TCAS stack and mean per-video KL.
 
     The videos, at least one, share one clip length. They are taken in
     order, in runs that TAPE_SNIPPETS bounds as in training; each run
@@ -279,19 +281,19 @@ def _activations(cfg, params, videos):
         tcas[start:start + len(run)] = out.tcas.value
         for video, motionness in zip(run, out.motionness.value):
             kls.append(kl_guidance(motionness, video.gt_mask()))
-    return tcas, float(np.mean(kls))
+    return [(v.id, v.gt_intervals) for v in videos], tcas, float(np.mean(kls))
 
 
-def _report(cfg, videos, tcas, kl):
-    """EvalReport of the videos' TCAS stack, localized in one call and
-    scored against their ground truth; kl is their mean per-video KL."""
+def _report(cfg, truth, tcas, kl):
+    """EvalReport of a TCAS stack, localized in one call and scored against
+    truth, each video's (id, gt_intervals) in stack order; kl is their mean."""
     gt_by_class = defaultdict(lambda: defaultdict(list))
-    for video in videos:
-        for s, e, c in video.gt_intervals:
-            gt_by_class[c][video.id].append((s, e))
+    for vid, intervals in truth:
+        for s, e, c in intervals:
+            gt_by_class[c][vid].append((s, e))
     dets = localize_video(tcas, cfg.loss.r, cfg.inference)
     gt = {c: dict(v) for c, v in gt_by_class.items()}
-    report = map_at(dets, [v.id for v in videos], gt, cfg.eval_iou)
+    report = map_at(dets, [vid for vid, _ in truth], gt, cfg.eval_iou)
     report.kl[cfg.model.guidance_stream] = kl
     return report
 
@@ -375,22 +377,17 @@ def _error_text(e):
     return f"{type(e).__name__}: {e}"
 
 
-# Set only in a pool worker: the jobs of the ablation that forked it,
-# inherited with the process, so no corpus is pickled.
-_fork_jobs = None
+@functools.cache
+def _corpus(spec):  # once per worker, however many of its cells share it
+    return generate_corpus(spec)
 
 
-def _inherit_jobs(jobs):
-    global _fork_jobs
-    _fork_jobs = jobs
-
-
-def _run_cell(key):
-    """Pool worker: train the cell, then run the evaluation forwards on
-    the test split it inherited. The parent localizes the returned
-    (TCAS stack, mean KL), where perfbench's tracer counts proposals;
-    an error reaches the parent through the cell's future."""
-    cfg, (train_videos, test_videos) = _fork_jobs[key]
+def _run_cell(cfg):
+    """Pool worker: generate the cell's corpus, train, and return the
+    _activations of its test split. The parent scores them, where
+    perfbench's tracer counts proposals; an error reaches the parent
+    through the cell's future."""
+    train_videos, test_videos = _corpus(cfg.corpus)
     return _activations(cfg, run_training(cfg, train_videos)[0], test_videos)
 
 
@@ -407,21 +404,19 @@ def _ablation_row(name, outcome):
 def run_ablation(base_cfg, matrix, out_dir, log=None):
     """Train/evaluate every cell; one CSV per table; cells cached by config.
 
-    The parent resolves the cells in table order and generates each
-    corpus once. Each distinct cell then trains in a forked worker, one
-    per CPU this process may use, which runs the evaluation forwards on
-    the test split it inherited and returns their TCAS stack and mean KL.
-    The parent localizes and scores each stack and writes the rows in
-    cell order, so the tables are those of a serial run. A cell that
-    fails to train or evaluate contributes an error row and the matrix
-    continues; a worker that dies ends the run.
+    The parent checks the matrix and resolves the cells in table order,
+    logging a training line per distinct config. Each distinct config
+    alone goes to a forked worker, one per CPU this process may use,
+    which generates the corpus, trains and returns _activations of the
+    test split. The parent localizes and scores each and writes the rows
+    in cell order, so the tables are those of a serial run. A cell that
+    fails to generate, train or evaluate contributes an error row and the
+    matrix continues; a worker that dies ends the run.
     Returns {table: [row dict, ...]}.
     """
-    out = resolve_out(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if not isinstance(matrix, dict) or not isinstance(matrix.get("tables"), dict):
         raise ConfigError("ablation matrix needs a 'tables' object")
-    # a malformed table ends the run before any corpus or training line
+    # a malformed matrix ends the run before any directory or training line
     for tname, cells in matrix["tables"].items():
         if not isinstance(cells, list):
             raise ConfigError(f"table {tname!r} must be a list of cells")
@@ -429,9 +424,16 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
             if not (isinstance(cell, dict) and isinstance(cell.get("name"), str)):
                 raise ConfigError(f"cell {i} of table {tname!r} must be an "
                                   "object with a string 'name'")
-    base = config_from_dict(matrix.get("base", {}), base=base_cfg)
-    corpora = {}
-    jobs = {}  # cell key -> (cfg, corpus), in the order cells first need them
+    base = matrix.get("base", {})
+    if not isinstance(base, dict):
+        raise ConfigError(f"ablation matrix 'base' must be an object, got "
+                          f"{type(base).__name__}")
+    base = config_from_dict(base, base=base_cfg)
+    if not any(matrix["tables"].values()):
+        raise ConfigError("ablation matrix has no cells")
+    out = resolve_out(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    jobs = {}  # cell key -> cfg, in the order cells first need them
     plan = {}  # table -> [(name, cell key, None) or (name, None, error text)]
     for tname, cells in matrix["tables"].items():
         plan[tname] = []
@@ -441,11 +443,7 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
                 cfg = config_from_dict(cell.get("overrides", {}), base=base)
                 key = _cell_key(cfg)
                 if key not in jobs:
-                    ckey = json.dumps(dataclasses.asdict(cfg.corpus),
-                                      sort_keys=True)
-                    if ckey not in corpora:
-                        corpora[ckey] = generate_corpus(cfg.corpus)
-                    jobs[key] = (cfg, corpora[ckey])
+                    jobs[key] = cfg
                     if log:
                         log(f"[{tname}/{name}] training")
                 plan[tname].append((name, key, None))
@@ -456,24 +454,21 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
     import multiprocessing
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    # fork: workers inherit the program and the corpora as loaded, where
-    # spawn and forkserver would re-import the caller's __main__
+    # fork: workers inherit the program as loaded, where spawn and
+    # forkserver would re-import the caller's __main__
     workers = min(len(os.sched_getaffinity(0)), len(jobs)) or 1
     pool = ProcessPoolExecutor(workers,
-                               mp_context=multiprocessing.get_context("fork"),
-                               initializer=_inherit_jobs, initargs=(jobs,))
+                               mp_context=multiprocessing.get_context("fork"))
     try:
-        forwards = {key: pool.submit(_run_cell, key) for key in jobs}
+        forwards = {key: pool.submit(_run_cell, cfg) for key, cfg in jobs.items()}
         outcomes = {}
         results = {}
         for tname, planned in plan.items():
             rows = []
             for name, key, error in planned:
                 if key is not None and key not in outcomes:
-                    cfg, (_, test_videos) = jobs[key]
                     try:
-                        outcomes[key] = _report(cfg, test_videos,
-                                                *forwards[key].result())
+                        outcomes[key] = _report(jobs[key], *forwards[key].result())
                     except BrokenExecutor:
                         raise  # a dead worker is no cell's error
                     except Exception as e:  # the cell's row reports it

@@ -539,6 +539,23 @@ class TestAblate:
         assert len(err) == 1, err
         assert err[0].startswith("error: ") and named in err[0], err
 
+    @pytest.mark.parametrize("matrix, message", [
+        ({"base": 3, "tables": {}},
+         "ablation matrix 'base' must be an object, got int"),
+        ({"base": [], "tables": {"t": [{"name": "a"}]}},
+         "ablation matrix 'base' must be an object, got list"),
+        ({"tables": {}}, "ablation matrix has no cells"),
+        ({"tables": {"t": [], "u": []}}, "ablation matrix has no cells"),
+    ])
+    def test_refused_matrix_makes_no_directory(self, tmp_path, capsys, matrix,
+                                               message):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(matrix))
+        assert main(["ablate", "--config", write_cfg(tmp_path), "--matrix",
+                     str(path), "--out", str(tmp_path / "abl")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "abl").exists()
+
     def test_invalid_matrix_json_names_file_and_line(self, tmp_path, capsys):
         matrix = tmp_path / "matrix.json"
         matrix.write_text(BROKEN_JSON)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -209,3 +214,29 @@ def test_inference_config_validation():
                 InferenceConfig(nms_iou=-0.2)):
         with pytest.raises(ValueError):
             bad.validate()
+
+
+# np.unique without indices imports numpy.ma (numpy 2.4): about 1.2 MB of
+# RSS in each process that localizes, such as an ablation's parent
+_SCORE_TWO_VIDEOS = """
+import sys
+import numpy as np
+from motionloc.localization import InferenceConfig, localize_video
+from motionloc.metrics import map_at
+tcas = np.zeros((2, 16, 3))
+tcas[0, 2:6, 1] = 4.0
+tcas[1, 9:14, 2] = 3.0
+dets = localize_video(tcas, 8, InferenceConfig())
+gt = {1: {"a": [(2, 5)]}, 2: {"b": [(9, 13)]}}
+assert map_at(dets, ["a", "b"], gt, (0.5,)).map[0.5] == 1.0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_localizing_and_scoring_leave_numpy_ma_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _SCORE_TWO_VIDEOS],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

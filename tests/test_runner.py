@@ -368,9 +368,11 @@ class TestAblation:
             runner._write_ablation_csv(tmp_path / f"oracle_{tname}.csv", rows)
             assert (tmp_path / "pool" / f"ablation_{tname}.csv").read_bytes() == \
                 (tmp_path / f"oracle_{tname}.csv").read_bytes()
-        # one training per distinct config that reaches training
+        # one training line per distinct config handed to a worker, also
+        # when the worker then fails to generate its corpus
         assert log == ["[t1/base] training", "[t1/xe] training",
-                       "[t1/diverges] training", "[t2/dense] training"]
+                       "[t1/too_short] training", "[t1/diverges] training",
+                       "[t2/dense] training"]
 
     def test_no_worker_outlives_a_raise(self, tmp_path):
         cfg = tiny_cfg()
@@ -389,6 +391,7 @@ class TestAblation:
         # and the counter counts only the parent's own calls
         calls = []
         activations, forward = runner._activations, runner.full_forward
+        generate = runner.generate_corpus
 
         def counted_activations(cfg, params, videos):
             calls.append("activations")
@@ -400,8 +403,13 @@ class TestAblation:
             calls.append("full_forward")
             return forward(*args)
 
+        def counted_generate(spec):
+            calls.append("generate_corpus")
+            return generate(spec)
+
         monkeypatch.setattr(runner, "_activations", counted_activations)
         monkeypatch.setattr(runner, "full_forward", counted_forward)
+        monkeypatch.setattr(runner, "generate_corpus", counted_generate)
         rows = run_ablation(tiny_cfg(), {"tables": {"t": [
             {"name": "base"},
             {"name": "xe", "overrides": {"loss": {"loss_kind": "xe"}}},
