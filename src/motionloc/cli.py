@@ -163,7 +163,7 @@ def _cmd_dump_graph(args):
     out = resolve_out(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     # mlp mode propagates over no graph, which the identity matrix stands for
-    adjacency = np.eye(graph.T) if graph.adjacency is None else graph.adjacency
+    adjacency = np.eye(video.T) if graph.adjacency is None else graph.adjacency
     np.savetxt(out, adjacency, delimiter=",")
     print(f"video {video.id}: {np.count_nonzero(graph.pos_edges)} positional "
           f"edges, {np.count_nonzero(graph.smt_edges)} semantic edges, "

@@ -49,7 +49,7 @@ class CorpusSpec:
     noise_sigma: float = 0.3
     seed: int = 7
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("n_train", "n_test", "T", "d", "C"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -221,7 +221,6 @@ def _generate_video(spec: CorpusSpec, vid: str, rng: np.random.Generator,
 
 def generate_corpus(spec: CorpusSpec) -> tuple[list[SyntheticVideo], list[SyntheticVideo]]:
     """Deterministic (train, test) lists; every stream derives from spec.seed."""
-    spec.validate()
     proto_rng = split_rng(spec.seed, _PROTO_STREAM)
 
     def draw_protos(n):

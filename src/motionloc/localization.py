@@ -49,7 +49,7 @@ class InferenceConfig:
     theta_a_list: tuple = DEFAULT_THETA_A
     nms_iou: float = 0.7
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 <= self.theta_c <= 1.0:
             raise ValueError(f"theta_c must be in [0,1], got {self.theta_c}")
         if not 0.0 <= self.nms_iou <= 1.0:
@@ -147,7 +147,7 @@ def localize_video(tcas, r, cfg):
 
     A video's classes are those whose softmax top-k score (the one
     training optimizes, objective.aggregate_topk) clears theta_c, or its
-    argmax when none does. cfg is assumed validated.
+    argmax when none does.
     """
     stack = as_matrix(tcas, "tcas", batched=True)
     if stack.ndim != 3:

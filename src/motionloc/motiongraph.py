@@ -26,7 +26,7 @@ class GraphConfig:
     use_positional: bool = True   # ablation switches for the sparse mode
     use_semantic: bool = True
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 < self.theta_pos < 1.0:
             raise ValueError(f"theta_pos must lie in (0,1), got {self.theta_pos}")
         if not -1.0 < self.gamma < 1.0:
@@ -39,7 +39,6 @@ class GraphConfig:
 class MotionGraph:
     """Edges as T x T boolean masks (B x T x T for a stack); mlp mode
     carries no adjacency (None)."""
-    T: int
     pos_edges: np.ndarray = field(repr=False)
     smt_edges: np.ndarray = field(repr=False)
     adjacency: np.ndarray | None = field(repr=False)
@@ -132,22 +131,20 @@ def build_graph(motion, W1, W2, cfg):
     A stack gets B x T x T edge masks and adjacency, each video's block
     equal to the one its own call would build. Dense and mlp graphs have
     empty edge masks; an mlp graph has no adjacency at all, since its
-    guidance branch propagates over nothing. cfg is assumed validated.
+    guidance branch propagates over nothing.
     """
     motion = as_matrix(motion, "motion", batched=True)
     T = motion.shape[-2]
     empty = np.zeros(motion.shape[:-1] + (T,), dtype=bool)
     if cfg.mode == "dense":
         adj = build_dense_adjacency(motion, W1, W2)
-        return MotionGraph(T, empty, empty, adj)
+        return MotionGraph(empty, empty, adj)
     if cfg.mode == "mlp":
-        return MotionGraph(T, empty, empty, None)
-    if cfg.mode != "sparse":
-        raise ValueError(f"mode must be sparse, dense or mlp, got {cfg.mode!r}")
+        return MotionGraph(empty, empty, None)
     pos = build_positional_edges(motion, cfg) if cfg.use_positional else empty
     smt = build_semantic_edges(motion, W1, W2, cfg) if cfg.use_semantic else empty
     pos = np.broadcast_to(pos, empty.shape)
-    return MotionGraph(T, pos, smt, build_adjacency(motion, pos | smt))
+    return MotionGraph(pos, smt, build_adjacency(motion, pos | smt))
 
 
 def pack_adjacency(adjacency):

@@ -24,7 +24,7 @@ class ModelConfig:
     k_layers: int = 2
     guidance_stream: str = "motion"   # motion | appearance | both
 
-    def validate(self):
+    def __post_init__(self):
         if self.k_layers < 1:
             raise ValueError(f"k_layers must be >= 1, got {self.k_layers}")
         if self.guidance_stream not in ("motion", "appearance", "both"):
@@ -77,7 +77,6 @@ def init_params(d, C, mcfg, seed):
     projections start at identity plus small noise and stay fixed (the
     thresholded edge selection gives them no gradient path).
     """
-    mcfg.validate()
     dg = mcfg.guidance_width(d)
     h = 2 * d
     embed = _init_conv(nc.split_rng(seed, 0), 2 * d, h)

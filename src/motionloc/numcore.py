@@ -67,13 +67,14 @@ class DiffNode:
     record their parents and the backward rule their op hands over, which
     the node drops when no parent needs a gradient. The backward pass
     visits each node exactly once, in reverse topological order. Only
-    parameters hold a gradient between backward passes.
+    parameters hold a gradient between backward passes. The value is an
+    ndarray; param and constant coerce anything else.
     """
 
     __slots__ = ("value", "grad", "parents", "op", "needs_grad", "_rule")
 
     def __init__(self, value, parents=(), op="leaf", rule=None, needs_grad=None):
-        self.value = value if isinstance(value, np.ndarray) else as_matrix(value)
+        self.value = value
         self.parents: tuple[DiffNode, ...] = tuple(parents)
         self.op = op
         if needs_grad is None:

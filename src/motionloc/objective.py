@@ -23,7 +23,7 @@ class LossConfig:
     regularizer_mask: str = "all_classes"  # all_classes | positive_only | none
     loss_kind: str = "motion_guided"       # xe | motion_guided
 
-    def validate(self):
+    def __post_init__(self):
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
         if self.regularizer_mask not in ("all_classes", "positive_only", "none"):
@@ -98,7 +98,6 @@ def motion_guided_loss(probs, mu, label, cfg):
     per-class motionness, both shaped like them. R is every class, only
     positive classes, or empty, per cfg.regularizer_mask.
     """
-    cfg.validate()
     yhat = _label_like(label, probs)
     if mu.shape != yhat.shape:
         raise nc.ShapeMismatchError(f"mu must be {yhat.shape}, got {mu.shape}")

@@ -58,7 +58,7 @@ class TrainConfig:
     lr: float = 1e-4
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -80,15 +80,8 @@ class ExperimentConfig:
     eval_iou: tuple = (0.3, 0.4, 0.5, 0.6, 0.7)
     out_dir: str = "runs/default"
 
-    def validate(self):
-        # each section's message starts with its key; name the section too
-        for f in dataclasses.fields(self):
-            section = getattr(self, f.name)
-            if dataclasses.is_dataclass(section):
-                try:
-                    section.validate()
-                except ValueError as e:
-                    raise ValueError(f"{f.name}.{e}") from e
+    # as in each section, a value out of range fails construction and replace
+    def __post_init__(self):
         ious = list(self.eval_iou)
         if not ious or any(not 0.0 < t <= 1.0 for t in ious):
             raise ValueError("eval_iou must be non-empty with values in (0,1]")
@@ -123,9 +116,12 @@ def _merge_section(cls, current, data, where):
     unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-    return dataclasses.replace(current, **{
-        key: _typed(value, hints[key], f"{where}.{key}")
-        for key, value in data.items()})
+    values = {key: _typed(value, hints[key], f"{where}.{key}")
+              for key, value in data.items()}
+    try:
+        return dataclasses.replace(current, **values)
+    except ValueError as e:
+        raise ConfigError(f"{where}.{e}") from e
 
 
 def config_from_dict(data, base=None):
@@ -137,16 +133,14 @@ def config_from_dict(data, base=None):
     unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
-    merged = dataclasses.replace(cfg, **{
-        key: (_merge_section(hints[key], getattr(cfg, key), value, key)
-              if dataclasses.is_dataclass(hints[key])
-              else _typed(value, hints[key], key))
-        for key, value in data.items()})
+    values = {key: (_merge_section(hints[key], getattr(cfg, key), value, key)
+                    if dataclasses.is_dataclass(hints[key])
+                    else _typed(value, hints[key], key))
+              for key, value in data.items()}
     try:
-        merged.validate()
+        return dataclasses.replace(cfg, **values)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    return merged
 
 
 def read_json(path):
@@ -208,7 +202,6 @@ def run_training(cfg, train_videos, log=None):
     scaled by 1/|batch| and spent by a single Adam step. The result is
     bit for bit that of one tape per video.
     """
-    cfg.graph.validate()
     per_tape = _videos_per_tape(train_videos)
     mcfg = cfg.model
     params = init_params(cfg.corpus.d, cfg.corpus.C, mcfg, cfg.train.seed)
@@ -266,8 +259,6 @@ def _activations(cfg, params, videos):
     gets one graph build and one forward, whose TCAS fills its rows of
     the stack.
     """
-    cfg.graph.validate()
-    cfg.inference.validate()
     if not videos:
         raise nc.DomainError("evaluation needs at least one video")
     per_run = _videos_per_tape(videos)
@@ -306,7 +297,6 @@ def write_loss_curve(path, curve):
 
 def train_experiment(cfg, log=None):
     """Generate the corpus, train, and write checkpoint + loss curve."""
-    cfg.validate()
     out = resolve_out(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_videos, _ = generate_corpus(cfg.corpus)

@@ -79,7 +79,6 @@ def nms(proposals, iou_threshold):
 
 
 def localize_video(tcas, r, cfg):
-    cfg.validate()
     scores = as_matrix(tcas, "tcas")
     out = []
     for c in classify_video(scores, r, cfg.theta_c):

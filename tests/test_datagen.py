@@ -176,13 +176,13 @@ def test_oversized_layout_names_lengths_and_T():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        CorpusSpec(n_train=0).validate()
+        CorpusSpec(n_train=0)
     with pytest.raises(ValueError):
-        CorpusSpec(confounder_rate=1.5).validate()
+        CorpusSpec(confounder_rate=1.5)
     with pytest.raises(ValueError):
-        CorpusSpec(noise_sigma=-0.1).validate()
+        CorpusSpec(noise_sigma=-0.1)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        CorpusSpec(seed=-1).validate()
+        CorpusSpec(seed=-1)
 
 
 def test_streams_are_rows_of_one_block_per_split_and_stream():

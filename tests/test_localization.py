@@ -204,16 +204,14 @@ def test_localize_video_end_to_end():
 
 
 def test_inference_config_validation():
-    InferenceConfig().validate()
+    assert InferenceConfig().theta_a_list == loc.DEFAULT_THETA_A
     assert len(loc.DEFAULT_THETA_A) == 11
     assert loc.DEFAULT_THETA_A[0] == 0.0 and loc.DEFAULT_THETA_A[-1] == 0.25
-    for bad in (InferenceConfig(theta_c=1.5),
-                InferenceConfig(theta_a_list=()),
-                InferenceConfig(theta_a_list=(0.2, 0.1)),
-                InferenceConfig(theta_a_list=(0.1, 0.1)),
-                InferenceConfig(nms_iou=-0.2)):
+    for bad in ({"theta_c": 1.5}, {"theta_a_list": ()},
+                {"theta_a_list": (0.2, 0.1)}, {"theta_a_list": (0.1, 0.1)},
+                {"nms_iou": -0.2}):
         with pytest.raises(ValueError):
-            bad.validate()
+            InferenceConfig(**bad)
 
 
 # np.unique without indices imports numpy.ma (numpy 2.4): about 1.2 MB of

@@ -222,14 +222,15 @@ def test_mode_dispatch():
     m = rng.standard_normal((12, 4))
     W1, W2 = np.eye(4), np.eye(4)
     g = mg.build_graph(m, W1, W2, GraphConfig(mode="mlp"))
-    assert g.T == 12 and g.adjacency is None  # mlp propagates over no graph
+    # mlp propagates over no graph
+    assert g.pos_edges.shape == (12, 12) and g.adjacency is None
     assert _edge_set(g.pos_edges) == frozenset()
     assert _edge_set(g.smt_edges) == frozenset()
     g = mg.build_graph(m, W1, W2, GraphConfig(mode="dense"))
     assert g.adjacency.shape == (12, 12)
     assert np.count_nonzero(g.adjacency) == 144
-    with pytest.raises(ValueError):
-        mg.build_graph(m, W1, W2, GraphConfig(mode="attention"))
+    with pytest.raises(ValueError):  # an unknown mode is refused when built
+        GraphConfig(mode="attention")
 
 
 def test_stacked_graph_equals_per_video_graphs():
@@ -247,7 +248,7 @@ def test_stacked_graph_equals_per_video_graphs():
                     GraphConfig(use_semantic=False),
                     GraphConfig(mode="dense"), GraphConfig(mode="mlp")):
             stack = mg.build_graph(m, W1, W2, cfg)
-            assert stack.T == T and stack.pos_edges.shape == (B, T, T)
+            assert stack.pos_edges.shape == stack.smt_edges.shape == (B, T, T)
             for b in range(B):
                 one = mg.build_graph(m[b], W1, W2, cfg)
                 for got, want in ((stack.pos_edges[b], one.pos_edges),
@@ -284,10 +285,10 @@ def test_mean_distance_diagnostic():
 
 
 def test_config_validation():
-    for bad in (GraphConfig(theta_pos=0.0), GraphConfig(theta_pos=1.0),
-                GraphConfig(gamma=1.0), GraphConfig(mode="foo")):
+    for bad in ({"theta_pos": 0.0}, {"theta_pos": 1.0}, {"gamma": 1.0},
+                {"mode": "foo"}):
         with pytest.raises(ValueError):
-            bad.validate()
+            GraphConfig(**bad)
 
 
 def _pinned_graph_input(T):

@@ -205,6 +205,6 @@ def test_checkpoint_truncation_detected(tmp_path):
 
 def test_model_config_validation():
     with pytest.raises(ValueError):
-        ModelConfig(k_layers=0).validate()
+        ModelConfig(k_layers=0)
     with pytest.raises(ValueError):
-        ModelConfig(guidance_stream="audio").validate()
+        ModelConfig(guidance_stream="audio")

@@ -223,10 +223,9 @@ def test_full_model_loss_gradcheck():
 
 
 def test_loss_config_validation():
-    for bad in (LossConfig(r=0), LossConfig(regularizer_mask="foo"),
-                LossConfig(loss_kind="mse")):
+    for bad in ({"r": 0}, {"regularizer_mask": "foo"}, {"loss_kind": "mse"}):
         with pytest.raises(ValueError):
-            bad.validate()
+            LossConfig(**bad)
 
 
 def test_batched_tape_gradients_equal_per_video_tapes():

@@ -65,6 +65,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="epochs"):
             config_from_dict({"train": {"epochs": 0}})
 
+    def test_first_bad_section_in_file_order_is_reported(self):
+        # each section is typed, then range-checked, before the next one;
+        # the range of eval_iou comes after every section
+        for data, message in (
+                ({"loss": {"r": 0}, "corpus": {"T": 0}},
+                 "loss.r must be >= 1, got 0"),
+                ({"corpus": {"T": 0}, "loss": {"r": "8"}},
+                 "corpus.T must be >= 1"),
+                ({"train": {"epochs": 0, "lr": "x"}},
+                 "train.lr must be a finite number, got 'x'"),
+                ({"eval_iou": [2], "train": {"epochs": 0}},
+                 "train.epochs must be >= 1, got 0")):
+            with pytest.raises(ConfigError) as caught:
+                config_from_dict(data)
+            assert str(caught.value) == message
+
     def test_value_types_checked(self):
         # an int stands for a float, lists of numbers fill tuple fields
         cfg = config_from_dict({"train": {"lr": 1}, "eval_iou": [0.5, 1],
@@ -99,16 +115,6 @@ class TestConfig:
 
 
 class TestTraining:
-    def test_zero_epochs_keeps_init(self):
-        cfg = tiny_cfg()
-        cfg = dataclasses.replace(cfg, train=TrainConfig(epochs=0, seed=3))
-        train_videos, _ = generate_corpus(cfg.corpus)
-        params, curve = run_training(cfg, train_videos)
-        assert curve == []
-        fresh = init_params(cfg.corpus.d, cfg.corpus.C, cfg.model, 3)
-        for got, want in zip(params.trainable(), fresh.trainable()):
-            assert np.array_equal(got.value, want.value)
-
     def test_xe_descends_below_uniform_on_separable_corpus(self):
         cfg = config_from_dict({
             "corpus": {"n_train": 20, "n_test": 1, "noise_sigma": 0.0,
@@ -455,12 +461,15 @@ def _serial_ablation(base_cfg, matrix):
 
 
 class TestValidation:
-    def test_experiment_validate_covers_sections(self):
+    def test_out_of_range_configs_cannot_be_built(self):
         cfg = ExperimentConfig()
-        cfg.validate()
-        bad = dataclasses.replace(cfg, eval_iou=())
         with pytest.raises(ValueError, match="eval_iou"):
-            bad.validate()
-        bad = dataclasses.replace(cfg, train=TrainConfig(batch_size=0))
+            dataclasses.replace(cfg, eval_iou=())
         with pytest.raises(ValueError, match="batch_size"):
-            bad.validate()
+            dataclasses.replace(cfg.train, batch_size=0)
+
+    def test_zero_epochs_is_refused(self):
+        # a run of zero epochs, which would return the initial weights,
+        # is not a config one can build
+        with pytest.raises(ValueError, match="epochs must be >= 1, got 0"):
+            TrainConfig(epochs=0)
