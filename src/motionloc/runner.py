@@ -8,8 +8,9 @@ TAPE_SNIPPETS allows, accumulates gradients in video order,
 and takes one Adam step per batch. The ablation driver reruns the
 pipeline over named config deltas and writes one CSV per table, caching
 cells whose resolved configs coincide. Each distinct cell generates its
-corpus, trains and runs its evaluation forwards in a worker process; the
-parent localizes and scores what the workers return, and holds no corpus.
+corpus, trains and runs its evaluation forwards in a worker process that
+the parent forks itself; the parent localizes and scores what the workers
+send back, and holds no corpus.
 """
 
 import csv
@@ -18,6 +19,7 @@ import functools
 import json
 import math
 import os
+import pickle
 import typing
 from collections import defaultdict
 from dataclasses import dataclass
@@ -373,12 +375,45 @@ def _corpus(spec):  # once per worker, however many of its cells share it
 
 
 def _run_cell(cfg):
-    """Pool worker: generate the cell's corpus, train, and return the
+    """In a worker: generate the cell's corpus, train, and return the
     _activations of its test split. The parent scores them, where
-    perfbench's tracer counts proposals; an error reaches the parent
-    through the cell's future."""
+    perfbench's tracer counts proposals."""
     train_videos, test_videos = _corpus(cfg.corpus)
     return _activations(cfg, run_training(cfg, train_videos)[0], test_videos)
+
+
+def _work(jobs, feed, out):
+    """A forked worker: for each index into jobs, (cell key, cfg) pairs,
+    that it reads from the feed pipe, send (key, _run_cell's activations
+    or error text) on the result pipe out. It leaves through os._exit
+    alone, so it never unwinds into the frames it was forked from,
+    flushes their stdio or runs their atexit handlers."""
+    code = 1
+    try:
+        os.close(feed[1])  # the feed then ends where the parent's writes do
+        with open(out, "wb") as fh:
+            while index := os.read(feed[0], 4):
+                key, cfg = jobs[int.from_bytes(index, "little")]
+                try:
+                    outcome = _run_cell(cfg)
+                except Exception as e:  # the cell's row reports it
+                    outcome = _error_text(e)
+                data = pickle.dumps((key, outcome))
+                for part in (len(data).to_bytes(8, "little"), data):
+                    fh.write(part)
+                    fh.flush()  # the length alone is one atomic pipe write
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(fd):
+    """The next (key, outcome) on a result pipe; None where it ends."""
+    size = int.from_bytes(os.read(fd, 8), "little")  # written alone: whole or none
+    data = bytearray()
+    while len(data) < size and (chunk := os.read(fd, size - len(data))):
+        data += chunk
+    return pickle.loads(data) if size and len(data) == size else None
 
 
 def _ablation_row(name, outcome):
@@ -395,13 +430,15 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
     """Train/evaluate every cell; one CSV per table; cells cached by config.
 
     The parent checks the matrix and resolves the cells in table order,
-    logging a training line per distinct config. Each distinct config
-    alone goes to a forked worker, one per CPU this process may use,
-    which generates the corpus, trains and returns _activations of the
-    test split. The parent localizes and scores each and writes the rows
-    in cell order, so the tables are those of a serial run. A cell that
-    fails to generate, train or evaluate contributes an error row and the
-    matrix continues; a worker that dies ends the run.
+    logging a training line per distinct config. It forks a worker per
+    CPU this process may use, at most one per distinct config, and feeds
+    them the configs' indices through one pipe: a free worker reads the
+    next (_work), generates the corpus, trains and sends back _activations
+    of the test split. The parent localizes and scores each and writes the
+    rows in cell order, so the tables are those of a serial run. A cell
+    that fails to generate, train or evaluate contributes an error row and
+    the matrix continues; a worker that dies ends the run with
+    ChildProcessError. No worker outlives the call.
     Returns {table: [row dict, ...]}.
     """
     if not isinstance(matrix, dict) or not isinstance(matrix.get("tables"), dict):
@@ -424,6 +461,7 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
     out = resolve_out(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     jobs = {}  # cell key -> cfg, in the order cells first need them
+    names = {}  # cell key -> "table/name" of the cell that first needs it
     plan = {}  # table -> [(name, cell key, None) or (name, None, error text)]
     for tname, cells in matrix["tables"].items():
         plan[tname] = []
@@ -433,41 +471,59 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
                 cfg = config_from_dict(cell.get("overrides", {}), base=base)
                 key = _cell_key(cfg)
                 if key not in jobs:
-                    jobs[key] = cfg
+                    jobs[key], names[key] = cfg, f"{tname}/{name}"
                     if log:
-                        log(f"[{tname}/{name}] training")
+                        log(f"[{names[key]}] training")
                 plan[tname].append((name, key, None))
             except Exception as e:  # isolate the cell, keep the matrix alive
                 plan[tname].append((name, None, _error_text(e)))
-    # imported here: the pool's modules add 2 MB of RSS to every process
-    # that imports runner, and only an ablation uses them
-    import multiprocessing
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    # imported here: only an ablation uses them
+    import select
+    import signal
 
-    # fork: workers inherit the program as loaded, where spawn and
-    # forkserver would re-import the caller's __main__
-    workers = min(len(os.sched_getaffinity(0)), len(jobs)) or 1
-    pool = ProcessPoolExecutor(workers,
-                               mp_context=multiprocessing.get_context("fork"))
+    feed = os.pipe()  # indices into jobs, each read by whichever worker is free
+    live = {}  # result pipe -> pid of its worker, until reaped
     try:
-        forwards = {key: pool.submit(_run_cell, cfg) for key, cfg in jobs.items()}
-        outcomes = {}
+        for _ in range(min(len(os.sched_getaffinity(0)), len(jobs))):
+            r, w = os.pipe()
+            # forked, not spawned: spawn would re-import the caller's __main__
+            if (pid := os.fork()) == 0:
+                _work(list(jobs.items()), feed, w)
+            os.close(w)
+            live[r] = pid
+        os.close(feed[0])
+        os.write(feed[1], np.arange(len(jobs), dtype="<u4").tobytes())
+        os.close(feed[1])
+        outcomes = {}  # cell key -> its activations, then its EvalReport or error text
         results = {}
         for tname, planned in plan.items():
             rows = []
             for name, key, error in planned:
-                if key is not None and key not in outcomes:
+                while key is not None and key not in outcomes:
+                    for r in select.select(list(live), [], [])[0]:
+                        if message := _receive(r):
+                            outcomes.update([message])
+                            continue
+                        os.close(r)
+                        code = os.waitstatus_to_exitcode(os.waitpid(live.pop(r), 0)[1])
+                        if code or not live:  # a dead worker is no cell's error
+                            ended = f"exit code {code}" if code >= 0 else f"signal {-code}"
+                            raise ChildProcessError(
+                                f"an ablation worker ended with {ended}; no result for "
+                                + ", ".join(names[k] for k in jobs if k not in outcomes))
+                if isinstance(outcomes.get(key), tuple):  # activations: score them
                     try:
-                        outcomes[key] = _report(jobs[key], *forwards[key].result())
-                    except BrokenExecutor:
-                        raise  # a dead worker is no cell's error
+                        outcomes[key] = _report(jobs[key], *outcomes[key])
                     except Exception as e:  # the cell's row reports it
                         outcomes[key] = _error_text(e)
                 rows.append(_ablation_row(name, error or outcomes[key]))
             results[tname] = rows
             _write_ablation_csv(out / f"ablation_{tname}.csv", rows)
-    finally:
-        pool.shutdown(cancel_futures=True)
+    finally:  # after a full run the workers have run out of jobs and are ending
+        for r, pid in live.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
     return results
 
 

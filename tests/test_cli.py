@@ -4,12 +4,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import shutil
 import typing
 
 import numpy as np
 import pytest
 
+from motionloc import runner
 from motionloc.cli import main
 from motionloc.datagen import CorpusSpec, corpus_fingerprint, generate_corpus
 from motionloc.runner import (ExperimentConfig, config_from_dict,
@@ -555,6 +557,21 @@ class TestAblate:
                      str(path), "--out", str(tmp_path / "abl")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "abl").exists()
+
+    def test_a_dead_worker_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the forked worker inherits the patch and exits without a result
+        monkeypatch.setattr(runner, "run_training", lambda *a, **k: os._exit(3))
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps({"tables": {"demo": [{"name": "base"}]}}))
+        assert main(["ablate", "--config", write_cfg(tmp_path), "--matrix",
+                     str(matrix), "--out", str(tmp_path / "abl")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: an ablation worker ended with exit code 3; "
+                          "no result for demo/base"], err
+        with pytest.raises(ChildProcessError):  # no child is left
+            os.waitpid(-1, os.WNOHANG)
 
     def test_invalid_matrix_json_names_file_and_line(self, tmp_path, capsys):
         matrix = tmp_path / "matrix.json"

@@ -4,9 +4,11 @@ import csv
 import dataclasses
 import json
 import math
-import multiprocessing
 import os
-from concurrent.futures.process import BrokenProcessPool
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,12 @@ TINY = {
     "corpus": {"n_train": 6, "n_test": 4},
     "train": {"epochs": 2},
 }
+
+
+def assert_no_child():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def tiny_cfg(**extra):
@@ -363,7 +371,7 @@ class TestAblation:
         }}
         log = []
         tables = run_ablation(cfg, matrix, tmp_path / "pool", log=log.append)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         oracle = _serial_ablation(cfg, matrix)
         assert tables == oracle
         errors = [row["error"] for row in oracle["t1"]]
@@ -389,11 +397,33 @@ class TestAblation:
         (tmp_path / "ablation_t1.csv").mkdir()  # the first table cannot be written
         with pytest.raises(IsADirectoryError):
             run_ablation(cfg, matrix, tmp_path)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         assert not (tmp_path / "ablation_t2.csv").exists()
 
+    def test_a_raise_stops_the_workers_at_once(self, monkeypatch, tmp_path):
+        # the dense cell's worker would train for a minute; the unwritable
+        # first table must end the run without waiting for it
+        train = runner.run_training
+
+        def slow_dense(cfg, videos, log=None):
+            if cfg.graph.mode == "dense":
+                time.sleep(60)
+            return train(cfg, videos, log)
+
+        monkeypatch.setattr(runner, "run_training", slow_dense)
+        matrix = {"tables": {
+            "t1": [{"name": "base"}],
+            "t2": [{"name": "dense", "overrides": {"graph": {"mode": "dense"}}}],
+        }}
+        (tmp_path / "ablation_t1.csv").mkdir()
+        start = time.monotonic()
+        with pytest.raises(IsADirectoryError):
+            run_ablation(tiny_cfg(), matrix, tmp_path)
+        assert time.monotonic() - start < 20
+        assert_no_child()
+
     def test_the_parent_runs_no_forward(self, monkeypatch, tmp_path):
-        # patched before the pool forks: the workers inherit the patches,
+        # patched before the workers fork: they inherit the patches,
         # and the counter counts only the parent's own calls
         calls = []
         activations, forward = runner._activations, runner.full_forward
@@ -430,10 +460,67 @@ class TestAblation:
     def test_a_dead_worker_ends_the_run(self, monkeypatch, tmp_path):
         # the forked worker inherits the patch and exits without a result
         monkeypatch.setattr(runner, "run_training", lambda *a, **k: os._exit(3))
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(ChildProcessError,
+                           match="ended with exit code 3; no result for t/base$"):
             run_ablation(tiny_cfg(), {"tables": {"t": [{"name": "base"}]}},
                          tmp_path)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
+
+    def test_a_failed_cell_travels_as_its_text(self, monkeypatch, tmp_path):
+        # an exception of a local class cannot be pickled; its row must
+        # still read as in a serial run
+        class LocalError(Exception):
+            pass
+
+        def boom(*args):
+            raise LocalError("no parameters")
+
+        monkeypatch.setattr(runner, "init_params", boom)
+        cfg = tiny_cfg()
+        matrix = {"tables": {"t": [
+            {"name": "base"},
+            {"name": "xe", "overrides": {"loss": {"loss_kind": "xe"}}},
+        ]}}
+        rows = run_ablation(cfg, matrix, tmp_path)
+        assert rows == _serial_ablation(cfg, matrix)
+        assert [row["error"] for row in rows["t"]] == \
+            ["LocalError: no parameters"] * 2
+
+    def test_no_cell_resolves_no_worker_forks(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a worker forked"))
+        rows = run_ablation(tiny_cfg(), {"tables": {"t": [
+            {"name": "short", "overrides": {"corpus": {"T": 0}}},
+            {"name": "typo", "overrides": {"corpus": {"tee": 64}}},
+        ]}}, tmp_path)["t"]
+        assert [row["error"] for row in rows] == [
+            "ConfigError: corpus.T must be >= 1",
+            "ConfigError: unknown key(s) in corpus: tee"]
+        table = list(csv.reader((tmp_path / "ablation_t.csv").read_text()
+                                .splitlines()))
+        assert [fields[0] for fields in table] == ["name", "short", "typo"]
+
+    def test_the_parent_loads_no_process_pool(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", _TWO_CELL_ABLATION,
+                               str(tmp_path)],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
+
+
+_TWO_CELL_ABLATION = """
+import sys
+from motionloc.runner import config_from_dict, run_ablation
+cfg = config_from_dict({"corpus": {"n_train": 6, "n_test": 4},
+                        "train": {"epochs": 2}})
+rows = run_ablation(cfg, {"tables": {"t": [
+    {"name": "base"},
+    {"name": "xe", "overrides": {"loss": {"loss_kind": "xe"}}},
+]}}, sys.argv[1])["t"]
+assert [row["error"] for row in rows] == ["", ""], rows
+print("multiprocessing" in sys.modules, "concurrent.futures" in sys.modules)
+"""
 
 
 def _serial_ablation(base_cfg, matrix):
