@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import GenerationError, corpus_fingerprint, generate_corpus
+from .datagen import (GenerationError, corpus_fingerprint, generate_corpus,
+                      interval_mask)
 from .motiongraph import adjacency_mean_distance, build_graph
 from .network import guidance_features, init_params, load_params
 from .numcore import DomainError, NonFiniteError, ShapeMismatchError
@@ -62,7 +63,7 @@ def _cmd_generate(args):
         cfg = config_from_dict({"corpus": {"seed": args.seed}}, base=cfg)
     train, test = generate_corpus(cfg.corpus)
     videos = train + test
-    background = sum(v.T - int(v.gt_mask().sum()) for v in videos)
+    background = sum(v.T - interval_mask(v.T, v.gt_intervals).sum() for v in videos)
     confounders = sum(len(v.confounder_idx) for v in videos)
     print(f"generated {len(train)} train / {len(test)} test videos, "
           f"{sum(len(v.gt_intervals) for v in videos)} intervals, "
@@ -132,7 +133,7 @@ def _cmd_ablate(args):
             if row["error"]:
                 print(f"  {row['name']}: FAILED ({row['error']})")
             else:
-                print(f"  {row['name']}: mAP@0.5 {row['map_0.5']:.4f}")
+                print(f"  {row['name']}: avg mAP {row['avg_map']:.4f}")
 
 
 def _cmd_loss_surface(args):

@@ -61,6 +61,15 @@ class CorpusSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
+def interval_mask(T: int, intervals) -> np.ndarray:
+    """Length-T float64 snippet mask, 1 inside any of the (start, end
+    inclusive, class) intervals: a video's ground-truth mask."""
+    mask = np.zeros(T, dtype=np.float64)
+    for s, e, _ in intervals:
+        mask[s : e + 1] = 1.0
+    return mask
+
+
 @dataclass
 class SyntheticVideo:
     id: str
@@ -70,13 +79,6 @@ class SyntheticVideo:
     gt_intervals: list[tuple[int, int, int]]  # (start, end inclusive, class)
     label: np.ndarray                 # multi-hot, length C
     confounder_idx: list[int] = field(default_factory=list)
-
-    def gt_mask(self) -> np.ndarray:
-        """Binary snippet mask, 1 inside any ground-truth interval."""
-        mask = np.zeros(self.T, dtype=np.float64)
-        for s, e, _ in self.gt_intervals:
-            mask[s : e + 1] = 1.0
-        return mask
 
     def validate(self, C: int) -> None:
         if not self.gt_intervals:
@@ -161,9 +163,8 @@ def _generate_video(spec: CorpusSpec, vid: str, rng: np.random.Generator,
     appearance = np.tile(background_proto, (T, 1)) + sigma * _smoothed_noise(rng, T, d)
     motion = sigma * _smoothed_noise(rng, T, d)
 
-    inside = np.zeros(T, dtype=bool)
+    inside = interval_mask(T, intervals) > 0
     for s, e, c in intervals:
-        inside[s : e + 1] = True
         motion[s : e + 1] = motion_protos[c] + sigma * _smoothed_noise(rng, e - s + 1, d)
         appearance[s : e + 1] = (
             appearance_protos[c] + sigma * _smoothed_noise(rng, e - s + 1, d)

@@ -9,8 +9,8 @@ and takes one Adam step per batch. The ablation driver reruns the
 pipeline over named config deltas and writes one CSV per table, caching
 cells whose resolved configs coincide. Each distinct cell generates its
 corpus, trains and runs its evaluation forwards in a worker process that
-the parent forks itself; the parent localizes and scores what the workers
-send back, and holds no corpus.
+the parent forks itself; the parent scores the TCAS and motionness stacks
+the workers send back, mAP and KL alike, and holds no corpus.
 """
 
 import csv
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numcore as nc
-from .datagen import CorpusSpec, generate_corpus
+from .datagen import CorpusSpec, generate_corpus, interval_mask
 from .localization import InferenceConfig, localize_video
 from .metrics import kl_guidance, map_at
 from .motiongraph import (GraphConfig, build_graph, pack_adjacency,
@@ -247,39 +247,39 @@ def run_training(cfg, train_videos, log=None):
 
 def run_evaluation(cfg, params, videos):
     """Inference + mAP + mean per-video KL for one parameter set: the
-    forwards of _activations, then one _report over their TCAS stack.
+    forwards of _activations, then one _report over their stacks.
     The report is bit for bit that of one video at a time."""
     return _report(cfg, *_activations(cfg, params, videos))
 
 
 def _activations(cfg, params, videos):
     """What _report scores: the videos' (id, gt_intervals) pairs, N x T x C
-    TCAS stack and mean per-video KL.
+    TCAS stack and N x T motionness stack.
 
     The videos, at least one, share one clip length. They are taken in
     order, in runs that TAPE_SNIPPETS bounds as in training; each run
-    gets one graph build and one forward, whose TCAS fills its rows of
-    the stack.
+    gets one graph build and one forward, which fills its rows of both
+    stacks.
     """
     if not videos:
         raise nc.DomainError("evaluation needs at least one video")
     per_run = _videos_per_tape(videos)
-    tcas = None
-    kls = []
+    tcas = motionness = None
     for start in range(0, len(videos), per_run):
         run = videos[start:start + per_run]
         out = full_forward(run, _adjacency(cfg, params, run), params, cfg.model)
         if tcas is None:
             tcas = np.empty((len(videos),) + out.tcas.value.shape[1:])
+            motionness = np.empty(tcas.shape[:2])
         tcas[start:start + len(run)] = out.tcas.value
-        for video, motionness in zip(run, out.motionness.value):
-            kls.append(kl_guidance(motionness, video.gt_mask()))
-    return [(v.id, v.gt_intervals) for v in videos], tcas, float(np.mean(kls))
+        motionness[start:start + len(run)] = out.motionness.value[:, :, 0]
+    return [(v.id, v.gt_intervals) for v in videos], tcas, motionness
 
 
-def _report(cfg, truth, tcas, kl):
-    """EvalReport of a TCAS stack, localized in one call and scored against
-    truth, each video's (id, gt_intervals) in stack order; kl is their mean."""
+def _report(cfg, truth, tcas, motionness):
+    """EvalReport of a run's stacks against truth, each video's (id,
+    gt_intervals) in stack order: mAP of the TCAS, localized in one call,
+    and the mean KL of each motionness row against its video's mask."""
     gt_by_class = defaultdict(lambda: defaultdict(list))
     for vid, intervals in truth:
         for s, e, c in intervals:
@@ -287,7 +287,9 @@ def _report(cfg, truth, tcas, kl):
     dets = localize_video(tcas, cfg.loss.r, cfg.inference)
     gt = {c: dict(v) for c, v in gt_by_class.items()}
     report = map_at(dets, [vid for vid, _ in truth], gt, cfg.eval_iou)
-    report.kl[cfg.model.guidance_stream] = kl
+    report.kl[cfg.model.guidance_stream] = float(np.mean(
+        [kl_guidance(mu, interval_mask(len(mu), intervals))
+         for (_, intervals), mu in zip(truth, motionness)]))
     return report
 
 
@@ -376,18 +378,18 @@ def _corpus(spec):  # once per worker, however many of its cells share it
 
 def _run_cell(cfg):
     """In a worker: generate the cell's corpus, train, and return the
-    _activations of its test split. The parent scores them, where
-    perfbench's tracer counts proposals."""
+    _activations of its test split: truth, TCAS and motionness stacks. The
+    parent scores them (_report), where perfbench's tracer counts calls."""
     train_videos, test_videos = _corpus(cfg.corpus)
     return _activations(cfg, run_training(cfg, train_videos)[0], test_videos)
 
 
 def _work(jobs, feed, out):
     """A forked worker: for each index into jobs, (cell key, cfg) pairs,
-    that it reads from the feed pipe, send (key, _run_cell's activations
-    or error text) on the result pipe out. It leaves through os._exit
-    alone, so it never unwinds into the frames it was forked from,
-    flushes their stdio or runs their atexit handlers."""
+    that it reads from the feed pipe, send (key, _run_cell's truth and
+    stacks, or its error text) on the result pipe out. It leaves through
+    os._exit alone, so it never unwinds into the frames it was forked
+    from, flushes their stdio or runs their atexit handlers."""
     code = 1
     try:
         os.close(feed[1])  # the feed then ends where the parent's writes do
@@ -433,12 +435,12 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
     logging a training line per distinct config. It forks a worker per
     CPU this process may use, at most one per distinct config, and feeds
     them the configs' indices through one pipe: a free worker reads the
-    next (_work), generates the corpus, trains and sends back _activations
-    of the test split. The parent localizes and scores each and writes the
-    rows in cell order, so the tables are those of a serial run. A cell
-    that fails to generate, train or evaluate contributes an error row and
-    the matrix continues; a worker that dies ends the run with
-    ChildProcessError. No worker outlives the call.
+    next (_work), generates the corpus, trains and sends back the test
+    split's _activations. The parent computes each cell's mAP and KL from
+    them (_report) and writes the rows in cell order, as a serial run
+    would. A cell that fails to generate, train or evaluate contributes an
+    error row and the matrix continues; a worker that dies ends the run
+    with ChildProcessError. No worker outlives the call.
     Returns {table: [row dict, ...]}.
     """
     if not isinstance(matrix, dict) or not isinstance(matrix.get("tables"), dict):
@@ -494,7 +496,7 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
         os.close(feed[0])
         os.write(feed[1], np.arange(len(jobs), dtype="<u4").tobytes())
         os.close(feed[1])
-        outcomes = {}  # cell key -> its activations, then its EvalReport or error text
+        outcomes = {}  # cell key -> its truth and stacks, then its EvalReport or error text
         results = {}
         for tname, planned in plan.items():
             rows = []
@@ -511,7 +513,7 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
                             raise ChildProcessError(
                                 f"an ablation worker ended with {ended}; no result for "
                                 + ", ".join(names[k] for k in jobs if k not in outcomes))
-                if isinstance(outcomes.get(key), tuple):  # activations: score them
+                if isinstance(outcomes.get(key), tuple):  # truth and stacks: score them
                     try:
                         outcomes[key] = _report(jobs[key], *outcomes[key])
                     except Exception as e:  # the cell's row reports it

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from motionloc.datagen import interval_mask
 from motionloc.metrics import AVG_MAP_RANGE, EvalReport, kl_guidance
 from motionloc.motiongraph import build_graph
 from motionloc.network import full_forward, guidance_features
@@ -147,22 +148,27 @@ def map_at(dets_by_class, gt_by_class, iou_list):
     return report
 
 
+def forward(cfg, params, video):
+    """One video's graph build and forward, on its own."""
+    graph = build_graph(guidance_features(video, cfg.model), params.W1,
+                        params.W2, cfg.graph)
+    adjacency = None if graph.adjacency is None else graph.adjacency[None]
+    return full_forward([video], adjacency, params, cfg.model)
+
+
 def run_evaluation(cfg, params, videos):
-    mcfg = cfg.model
     dets_by_class = defaultdict(list)
     gt_by_class = defaultdict(lambda: defaultdict(list))
     kls = []
     for video in videos:
-        graph = build_graph(guidance_features(video, mcfg), params.W1,
-                            params.W2, cfg.graph)
-        adjacency = None if graph.adjacency is None else graph.adjacency[None]
-        out = full_forward([video], adjacency, params, mcfg)
+        out = forward(cfg, params, video)
         for prop in localize_video(out.tcas.value[0], cfg.loss.r, cfg.inference):
             dets_by_class[prop.cls].append((video.id, prop))
-        kls.append(kl_guidance(out.motionness.value[0], video.gt_mask()))
+        kls.append(kl_guidance(out.motionness.value[0],
+                               interval_mask(video.T, video.gt_intervals)))
         for s, e, c in video.gt_intervals:
             gt_by_class[c][video.id].append((s, e))
     gt = {c: dict(v) for c, v in gt_by_class.items()}
     report = map_at(dict(dets_by_class), gt, cfg.eval_iou)
-    report.kl[mcfg.guidance_stream] = float(np.mean(kls))
+    report.kl[cfg.model.guidance_stream] = float(np.mean(kls))
     return report

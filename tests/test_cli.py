@@ -524,6 +524,21 @@ class TestAblate:
         assert len(lines) == 3
         assert "demo" in capsys.readouterr().out
 
+    def test_an_eval_iou_without_half_prints_every_row(self, tmp_path, capsys):
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps({"base": {"eval_iou": [0.3]}, "tables": {
+            "t": [{"name": "base"},
+                  {"name": "xe", "overrides": {"loss": {"loss_kind": "xe"}}}],
+        }}))
+        assert main(["ablate", "--config", write_cfg(tmp_path), "--matrix",
+                     str(matrix), "--out", str(tmp_path / "abl")]) == 0
+        table = (tmp_path / "abl" / "ablation_t.csv").read_text().splitlines()
+        header = table[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in table[1:]]
+        assert [row["map_0.5"] for row in rows] == ["", ""]
+        assert capsys.readouterr().out.splitlines() == ["table t:"] + [
+            f"  {row['name']}: avg mAP {float(row['avg_map']):.4f}" for row in rows]
+
     @pytest.mark.parametrize("tables, named", [
         ({"t": [5]}, "cell 0 of table 't'"),
         ({"t": 5}, "table 't'"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from motionloc import datagen
-from motionloc.datagen import CorpusSpec, corpus_fingerprint
+from motionloc.datagen import CorpusSpec, corpus_fingerprint, interval_mask
 
 
 SMALL = CorpusSpec(n_train=20, n_test=5, T=64, d=16, C=5, seed=7)
@@ -23,7 +23,7 @@ def test_zero_noise_interval_motion_is_exact_prototype():
             assert np.linalg.norm(block[0]) == pytest.approx(3.0, rel=1e-6)
             by_class.setdefault(c, block[0])
             np.testing.assert_array_equal(block[0], by_class[c])
-        mask = v.gt_mask().astype(bool)
+        mask = interval_mask(v.T, v.gt_intervals).astype(bool)
         np.testing.assert_array_equal(v.motion[~mask], 0.0)
 
 
@@ -56,7 +56,7 @@ def test_confounder_fraction_matches_rate():
     flagged = 0
     background = 0
     for v in train + test:
-        inside = v.gt_mask().astype(bool)
+        inside = interval_mask(v.T, v.gt_intervals).astype(bool)
         background += int((~inside).sum())
         flagged += len(v.confounder_idx)
     assert flagged / background == pytest.approx(0.3, abs=0.03)
@@ -76,7 +76,7 @@ def test_separability_at_zero_noise():
     spec = CorpusSpec(n_train=8, n_test=2, noise_sigma=0.0, confounder_rate=0.0, seed=5)
     train, _ = datagen.generate_corpus(spec)
     for v in train:
-        mask = v.gt_mask().astype(bool)
+        mask = interval_mask(v.T, v.gt_intervals).astype(bool)
         inside = np.linalg.norm(v.motion[mask], axis=1).mean()
         outside = np.linalg.norm(v.motion[~mask], axis=1).mean() if (~mask).any() else 0.0
         assert inside - outside == pytest.approx(3.0, rel=1e-6)
@@ -107,7 +107,7 @@ def test_confounders_fool_appearance_but_not_motion():
     # background appearance prototype from non-confounder background snippets
     bg_snips = []
     for v in train:
-        inside = v.gt_mask().astype(bool)
+        inside = interval_mask(v.T, v.gt_intervals).astype(bool)
         for t in range(v.T):
             if not inside[t] and t not in v.confounder_idx:
                 bg_snips.append(v.appearance[t])

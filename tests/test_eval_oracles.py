@@ -266,10 +266,15 @@ def _check_run_evaluation(mode, ids, monkeypatch):
     videos = _videos(ids)
     params = init_params(cfg.corpus.d, cfg.corpus.C, cfg.model, seed=5)
     want = old.run_evaluation(cfg, params, videos).to_json()
-    assert runner.run_evaluation(cfg, params, videos).to_json() == want
-    # one video per run instead of up to eight
-    monkeypatch.setattr(runner, "TAPE_SNIPPETS", 1)
-    assert runner.run_evaluation(cfg, params, videos).to_json() == want
+    mus = [old.forward(cfg, params, v).motionness.value[0, :, 0] for v in videos]
+    # up to eight videos per run, then one
+    for snippets in (runner.TAPE_SNIPPETS, 1):
+        monkeypatch.setattr(runner, "TAPE_SNIPPETS", snippets)
+        assert runner.run_evaluation(cfg, params, videos).to_json() == want
+        # the motionness stack holds each video's own, bit for bit
+        motionness = runner._activations(cfg, params, videos)[2]
+        assert motionness.shape == (len(videos), videos[0].T)
+        assert all(np.array_equal(row, mu) for row, mu in zip(motionness, mus))
 
 
 @pytest.mark.parametrize("mode", ["sparse", "dense", "mlp"])

@@ -443,10 +443,19 @@ class TestAblation:
             calls.append("generate_corpus")
             return generate(spec)
 
+        kl_calls = []
+        kl = runner.kl_guidance
+
+        def counted_kl(motionness, mask):
+            kl_calls.append(len(motionness))
+            return kl(motionness, mask)
+
         monkeypatch.setattr(runner, "_activations", counted_activations)
         monkeypatch.setattr(runner, "full_forward", counted_forward)
         monkeypatch.setattr(runner, "generate_corpus", counted_generate)
-        rows = run_ablation(tiny_cfg(), {"tables": {"t": [
+        monkeypatch.setattr(runner, "kl_guidance", counted_kl)
+        cfg = tiny_cfg()
+        rows = run_ablation(cfg, {"tables": {"t": [
             {"name": "base"},
             {"name": "xe", "overrides": {"loss": {"loss_kind": "xe"}}},
             {"name": "dense", "overrides": {"graph": {"mode": "dense"}}},
@@ -456,6 +465,8 @@ class TestAblation:
         assert rows[0]["error"] == rows[2]["error"] == ""
         assert None not in (rows[0]["avg_map"], rows[2]["avg_map"])
         assert calls == []
+        # the parent scores KL: one call per test video of the two scored cells
+        assert kl_calls == [cfg.corpus.T] * (2 * cfg.corpus.n_test)
 
     def test_a_dead_worker_ends_the_run(self, monkeypatch, tmp_path):
         # the forked worker inherits the patch and exits without a result
