@@ -124,6 +124,12 @@ def _cmd_ablate(args):
     matrix = default_ablation_matrix()
     if args.matrix:
         matrix = read_json(args.matrix)
+    # --seed wins over the matrix base, a cell's overrides over --seed;
+    # run_ablation refuses a base or base.train that is not an object
+    if args.seed is not None and isinstance(matrix, dict):
+        base = matrix.setdefault("base", {})
+        if isinstance(base, dict) and isinstance(base.setdefault("train", {}), dict):
+            base["train"]["seed"] = args.seed
     out = args.out if args.out is not None else cfg.out_dir
     results = run_ablation(cfg, matrix, out,
                            log=lambda msg: print(msg, file=sys.stderr))

@@ -136,20 +136,14 @@ def guidance_features(video, mcfg):
     return np.hstack([video.appearance, video.motion])
 
 
-@dataclass
-class ForwardOutput:
-    tcas: DiffNode        # B x T x C, nonnegative
-    motionness: DiffNode  # B x T x 1, in (eps, 1-eps)
-
-
 def full_forward(videos, adjacency, params, mcfg):
     """Both branches over equal-length videos; adjacency is their B x T x T
-    graph stack, or None in mlp mode."""
+    graph stack, or None in mlp mode. Returns the B x T x C TCAS (>= 0)
+    and the B x T x 1 motionness (in (eps, 1 - eps)) nodes, in a pair."""
     tcas = base_forward(np.stack([v.appearance for v in videos]),
                         np.stack([v.motion for v in videos]), params)
     feats = np.stack([guidance_features(v, mcfg) for v in videos])
-    motionness = guidance_forward(feats, adjacency, params)
-    return ForwardOutput(tcas=tcas, motionness=motionness)
+    return tcas, guidance_forward(feats, adjacency, params)
 
 
 # ---------------------------------------------------------------------------

@@ -114,15 +114,15 @@ def motion_guided_loss(probs, mu, label, cfg):
     return main + reg
 
 
-def per_video_loss(out, labels, cfg):
-    """Dispatch on cfg.loss_kind given a ForwardOutput and one label per video.
+def per_video_loss(tcas, motionness, labels, cfg):
+    """Dispatch on cfg.loss_kind given full_forward's pair and a label per video.
 
     Returns (loss, probs); the loss is B x 1 x 1, one value per video.
     """
-    probs, topk_indices = aggregate_topk(out.tcas, cfg.r)
+    probs, topk_indices = aggregate_topk(tcas, cfg.r)
     if cfg.loss_kind == "xe":
         return xe_loss(probs, labels), probs
-    mu = video_motionness(out.motionness, topk_indices)
+    mu = video_motionness(motionness, topk_indices)
     return motion_guided_loss(probs, mu, labels, cfg), probs
 
 

@@ -111,13 +111,17 @@ def _typed(value, want, where):
     raise ConfigError(f"{where} must be {expected}, got {value!r}")
 
 
+def _known_keys(data, known, where):
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
 def _merge_section(cls, current, data, where):
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be an object, got {type(data).__name__}")
     hints = typing.get_type_hints(cls)
-    unknown = sorted(set(data) - set(hints))
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    _known_keys(data, hints, where)
     values = {key: _typed(value, hints[key], f"{where}.{key}")
               for key, value in data.items()}
     try:
@@ -132,9 +136,7 @@ def config_from_dict(data, base=None):
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     hints = typing.get_type_hints(ExperimentConfig)
-    unknown = sorted(set(data) - set(hints))
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
+    _known_keys(data, hints, "config root")
     values = {key: (_merge_section(hints[key], getattr(cfg, key), value, key)
                     if dataclasses.is_dataclass(hints[key])
                     else _typed(value, hints[key], key))
@@ -174,14 +176,16 @@ def _batches(order, size):
 
 
 def _videos_per_tape(videos):
-    """Videos per training tape or evaluation run: as many as
-    TAPE_SNIPPETS holds, at least one. All videos of a run share one
-    clip length; ShapeMismatchError names the lengths otherwise."""
+    """Videos per training tape or evaluation run: as many as TAPE_SNIPPETS
+    holds, at least one. The one check on a run: at least one video
+    (DomainError), all of one clip length (ShapeMismatchError)."""
     lengths = sorted({v.T for v in videos})
+    if not lengths:
+        raise nc.DomainError("a run needs at least one video")
     if len(lengths) > 1:
         raise nc.ShapeMismatchError(
             f"videos of one clip length expected, got T = {lengths}")
-    return max(1, TAPE_SNIPPETS // lengths[0]) if lengths else 1
+    return max(1, TAPE_SNIPPETS // lengths[0])
 
 
 def _adjacency(cfg, params, videos):
@@ -208,7 +212,7 @@ def run_training(cfg, train_videos, log=None):
     mcfg = cfg.model
     params = init_params(cfg.corpus.d, cfg.corpus.C, mcfg, cfg.train.seed)
     packed = stack = None
-    if cfg.graph.mode != "mlp" and train_videos:
+    if cfg.graph.mode != "mlp":
         packed = [pack_adjacency(A) for run in _batches(train_videos, per_tape)
                   for A in _adjacency(cfg, params, run)]
         T = train_videos[0].T
@@ -226,9 +230,9 @@ def run_training(cfg, train_videos, log=None):
                 # backward pass, which ends before the next tape refills it
                 graphs = None if stack is None else unpack_adjacency(
                     [packed[i] for i in tape], stack[:len(tape)])
-                out = full_forward(videos, graphs, params, mcfg)
-                loss, _ = per_video_loss(out, np.stack([v.label for v in videos]),
-                                         cfg.loss)
+                tcas, motionness = full_forward(videos, graphs, params, mcfg)
+                loss, _ = per_video_loss(tcas, motionness,
+                                         np.stack([v.label for v in videos]), cfg.loss)
                 values = loss.value.reshape(-1).tolist()
                 for video, value in zip(videos, values):
                     if not math.isfinite(value):
@@ -256,23 +260,20 @@ def _activations(cfg, params, videos):
     """What _report scores: the videos' (id, gt_intervals) pairs, N x T x C
     TCAS stack and N x T motionness stack.
 
-    The videos, at least one, share one clip length. They are taken in
-    order, in runs that TAPE_SNIPPETS bounds as in training; each run
-    gets one graph build and one forward, which fills its rows of both
-    stacks.
+    The videos, at least one, share one clip length (_videos_per_tape),
+    so both stacks are allocated up front. The videos are taken in order,
+    in runs that TAPE_SNIPPETS bounds as in training; each run gets one
+    graph build and one forward, which fills its rows of both stacks.
     """
-    if not videos:
-        raise nc.DomainError("evaluation needs at least one video")
     per_run = _videos_per_tape(videos)
-    tcas = motionness = None
+    motionness = np.empty((len(videos), videos[0].T))
+    tcas = np.empty(motionness.shape + (params.cls.bias.value.shape[1],))
     for start in range(0, len(videos), per_run):
         run = videos[start:start + per_run]
-        out = full_forward(run, _adjacency(cfg, params, run), params, cfg.model)
-        if tcas is None:
-            tcas = np.empty((len(videos),) + out.tcas.value.shape[1:])
-            motionness = np.empty(tcas.shape[:2])
-        tcas[start:start + len(run)] = out.tcas.value
-        motionness[start:start + len(run)] = out.motionness.value[:, :, 0]
+        run_tcas, run_mu = full_forward(run, _adjacency(cfg, params, run),
+                                        params, cfg.model)
+        tcas[start:start + len(run)] = run_tcas.value
+        motionness[start:start + len(run)] = run_mu.value[:, :, 0]
     return [(v.id, v.gt_intervals) for v in videos], tcas, motionness
 
 
@@ -446,6 +447,7 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
     if not isinstance(matrix, dict) or not isinstance(matrix.get("tables"), dict):
         raise ConfigError("ablation matrix needs a 'tables' object")
     # a malformed matrix ends the run before any directory or training line
+    _known_keys(matrix, {"base", "tables"}, "ablation matrix")
     for tname, cells in matrix["tables"].items():
         if not isinstance(cells, list):
             raise ConfigError(f"table {tname!r} must be a list of cells")
@@ -453,6 +455,7 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
             if not (isinstance(cell, dict) and isinstance(cell.get("name"), str)):
                 raise ConfigError(f"cell {i} of table {tname!r} must be an "
                                   "object with a string 'name'")
+            _known_keys(cell, {"name", "overrides"}, f"cell {i} of table {tname!r}")
     base = matrix.get("base", {})
     if not isinstance(base, dict):
         raise ConfigError(f"ablation matrix 'base' must be an object, got "

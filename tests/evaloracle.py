@@ -161,10 +161,10 @@ def run_evaluation(cfg, params, videos):
     gt_by_class = defaultdict(lambda: defaultdict(list))
     kls = []
     for video in videos:
-        out = forward(cfg, params, video)
-        for prop in localize_video(out.tcas.value[0], cfg.loss.r, cfg.inference):
+        tcas, motionness = forward(cfg, params, video)
+        for prop in localize_video(tcas.value[0], cfg.loss.r, cfg.inference):
             dets_by_class[prop.cls].append((video.id, prop))
-        kls.append(kl_guidance(out.motionness.value[0],
+        kls.append(kl_guidance(motionness.value[0],
                                interval_mask(video.T, video.gt_intervals)))
         for s, e, c in video.gt_intervals:
             gt_by_class[c][video.id].append((s, e))

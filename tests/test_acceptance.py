@@ -94,7 +94,7 @@ def test_criterion_1_gradient_correctness():
 
             def build():
                 out = net.full_forward(videos, adjacency, params, mcfg)
-                loss, _ = obj.per_video_loss(out, labels, cfg)
+                loss, _ = obj.per_video_loss(*out, labels, cfg)
                 return loss
 
             worst = max(worst, grad_check(build, params.trainable(),

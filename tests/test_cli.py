@@ -7,6 +7,7 @@ import math
 import os
 import shutil
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,21 @@ class TestGenerate:
         assert main(["generate", "--spec", str(spec)]) == 2
         err = capsys.readouterr().err
         assert "more than corpus.T=12" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("sigma", [1e39, 1e308])
+    def test_overflowing_noise_names_the_key(self, tmp_path, capsys, sigma):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_train": 3, "n_test": 2,
+                                    "noise_sigma": sigma}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["generate", "--spec", str(spec)]) == 2
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: corpus.noise_sigma="), err
 
 
 class TestTrainEval:
@@ -563,6 +579,12 @@ class TestAblate:
          "ablation matrix 'base' must be an object, got list"),
         ({"tables": {}}, "ablation matrix has no cells"),
         ({"tables": {"t": [], "u": []}}, "ablation matrix has no cells"),
+        ({"bsae": {"train": {"seed": 1}}, "tables": {"t": [{"name": "a"}]}},
+         "unknown key(s) in ablation matrix: bsae"),
+        ({"tables": {"t": [{"name": "base"},
+                           {"name": "dense_typo",
+                            "overides": {"graph": {"mode": "dense"}}}]}},
+         "unknown key(s) in cell 1 of table 't': overides"),
     ])
     def test_refused_matrix_makes_no_directory(self, tmp_path, capsys, matrix,
                                                message):
@@ -570,6 +592,41 @@ class TestAblate:
         path.write_text(json.dumps(matrix))
         assert main(["ablate", "--config", write_cfg(tmp_path), "--matrix",
                      str(path), "--out", str(tmp_path / "abl")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "abl").exists()
+
+    def test_seed_flag_wins_over_the_matrix_base(self, tmp_path):
+        """--config < matrix base < --seed < a cell's own overrides."""
+        cfg = write_cfg(tmp_path, {"train": {"seed": 2}})
+        cells = [{"name": "flag"},
+                 {"name": "own", "overrides": {"train": {"seed": 1}}}]
+
+        def table(seed, base):
+            out = tmp_path / f"abl-{seed}-{len(base)}"
+            matrix = tmp_path / "matrix.json"
+            matrix.write_text(json.dumps({"base": base, "tables": {"t": cells}}))
+            assert main(["ablate", "--config", cfg, "--matrix", str(matrix),
+                         "--seed", str(seed), "--out", str(out)]) == 0
+            return (out / "ablation_t.csv").read_bytes().splitlines()
+
+        with_base = table(5, {"train": {"seed": 1}})
+        assert with_base == table(5, {})
+        seed_1 = table(1, {})
+        assert with_base[1] != seed_1[1]  # "flag" trained with seed 5
+        assert with_base[2] == seed_1[2]  # "own" trained with seed 1
+
+    @pytest.mark.parametrize("base, message", [
+        (3, "ablation matrix 'base' must be an object, got int"),
+        ({"train": 3}, "train must be an object, got int"),
+    ])
+    def test_seed_flag_with_a_malformed_base_exits_2(self, tmp_path, capsys,
+                                                    base, message):
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps({"base": base,
+                                      "tables": {"t": [{"name": "a"}]}}))
+        assert main(["ablate", "--config", write_cfg(tmp_path), "--matrix",
+                     str(matrix), "--seed", "5",
+                     "--out", str(tmp_path / "abl")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "abl").exists()
 

@@ -70,6 +70,7 @@ def test_label_matches_interval_classes():
             expect[c] = 1.0
         np.testing.assert_array_equal(v.label, expect)
         assert len(v.gt_intervals) >= 1
+        assert all(0 <= s <= e < v.T for s, e, _ in v.gt_intervals)
 
 
 def test_separability_at_zero_noise():

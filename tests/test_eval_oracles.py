@@ -266,7 +266,7 @@ def _check_run_evaluation(mode, ids, monkeypatch):
     videos = _videos(ids)
     params = init_params(cfg.corpus.d, cfg.corpus.C, cfg.model, seed=5)
     want = old.run_evaluation(cfg, params, videos).to_json()
-    mus = [old.forward(cfg, params, v).motionness.value[0, :, 0] for v in videos]
+    mus = [old.forward(cfg, params, v)[1].value[0, :, 0] for v in videos]
     # up to eight videos per run, then one
     for snippets in (runner.TAPE_SNIPPETS, 1):
         monkeypatch.setattr(runner, "TAPE_SNIPPETS", snippets)

@@ -161,16 +161,15 @@ def test_full_forward_deterministic_and_differentiable():
     mcfg = ModelConfig()
     params = net.init_params(d=5, C=3, mcfg=mcfg, seed=14)
     g = _adjacency_for(video.motion, params)[None]
-    out1 = net.full_forward([video], g, params, mcfg)
-    out2 = net.full_forward([video], g, params, mcfg)
-    np.testing.assert_array_equal(out1.tcas.value, out2.tcas.value)
-    np.testing.assert_array_equal(out1.motionness.value, out2.motionness.value)
+    tcas1, mu1 = net.full_forward([video], g, params, mcfg)
+    tcas2, mu2 = net.full_forward([video], g, params, mcfg)
+    np.testing.assert_array_equal(tcas1.value, tcas2.value)
+    np.testing.assert_array_equal(mu1.value, mu2.value)
 
     def build_loss():
-        out = net.full_forward([video], g, params, mcfg)
-        return (nc.scale(nc.sum_all(out.tcas), 1.0 / out.tcas.value.size)
-                + nc.scale(nc.sum_all(out.motionness),
-                           1.0 / out.motionness.value.size))
+        tcas, mu = net.full_forward([video], g, params, mcfg)
+        return (nc.scale(nc.sum_all(tcas), 1.0 / tcas.value.size)
+                + nc.scale(nc.sum_all(mu), 1.0 / mu.value.size))
 
     err = grad_check(build_loss, params.trainable(), h=1e-5)
     assert err < 1e-4

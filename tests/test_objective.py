@@ -215,7 +215,7 @@ def test_full_model_loss_gradcheck():
 
         def build():
             out = net.full_forward([video], graph.adjacency[None], params, mcfg)
-            loss, _ = obj.per_video_loss(out, video.label, cfg)
+            loss, _ = obj.per_video_loss(*out, video.label, cfg)
             return loss
 
         err = grad_check(build, params.trainable(), h=1e-5)
@@ -262,7 +262,7 @@ def test_batched_tape_gradients_equal_per_video_tapes():
                         out = net.full_forward([videos[i] for i in tape],
                                                graphs, params, mcfg)
                         loss, _ = obj.per_video_loss(
-                            out, np.stack([videos[i].label for i in tape]), lcfg)
+                            *out, np.stack([videos[i].label for i in tape]), lcfg)
                         nc.backward(loss)
                         values.extend(loss.value.reshape(-1).tolist())
                     return values, [p.grad.copy() for p in trainable]

@@ -277,10 +277,13 @@ class TestEvaluation:
         assert a.to_json() == b.to_json()
 
     def test_no_videos_is_a_named_error(self):
+        """An empty run is a DomainError in training as in evaluation."""
         cfg = tiny_cfg()
         params = init_params(cfg.corpus.d, cfg.corpus.C, cfg.model, 0)
         with pytest.raises(nc.DomainError, match="at least one video"):
             run_evaluation(cfg, params, [])
+        with pytest.raises(nc.DomainError, match="at least one video"):
+            run_training(cfg, [])
 
     def test_evaluate_params_writes_reports(self, tmp_path):
         cfg = tiny_cfg()
