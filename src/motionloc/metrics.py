@@ -1,11 +1,11 @@
 """Detection evaluation (AP / mAP over IoU thresholds) and the KL diagnostic.
 
 Detections arrive as one localization.Detections over the whole corpus,
-their `video` indexing a list of video ids; ground truth is a per-class,
-per-video-id list of inclusive segments, so videos that share an id
-share one ground-truth pool. Matching is greedy in confidence order
-against the highest-IoU unmatched ground truth, and AP integrates the
-precision-recall curve with all-points interpolation.
+their `video` a row of the evaluated stack; ground truth is each row's
+list of inclusive (start, end, class) intervals, so no two rows share a
+pool, even where their video ids agree. Matching is greedy in confidence
+order against the highest-IoU unmatched ground truth, and AP integrates
+the precision-recall curve with all-points interpolation.
 """
 
 import csv
@@ -21,40 +21,37 @@ KL_EPS = 1e-8
 AVG_MAP_RANGE = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))  # 0.5 .. 0.95
 
 
-def _ranked(dets, video_ids, gt_by_video):
-    """One class's detections in confidence order as the rank of their
-    video id, their IoU rows against that id's gt, and each row's maximum.
+def _ranked(dets, pools):
+    """One class's detections in confidence order as their video rows,
+    their IoU rows against that row's pool, and each IoU row's maximum.
 
-    Ties in confidence go to the smaller video id string, then the
-    earlier start, end and video index. Rows are padded to the largest
-    pool with the empty segment [0, -1], whose IoU is 0.
+    Ties in confidence go to the earlier video row, then the earlier
+    start and end. Pools are padded to the largest with the empty
+    segment [0, -1], whose IoU is 0.
     """
-    ids, id_rank = np.unique(np.array(video_ids, dtype=str), return_inverse=True)
-    pools = [list(gt_by_video.get(vid, [])) for vid in ids.tolist()]
     width = max([1, *map(len, pools)])
     gt = np.array([segs + [(0, -1)] * (width - len(segs)) for segs in pools],
-                  dtype=np.int64).reshape(ids.size, width, 2)
-    rank = id_rank[dets.video]
-    order = np.lexsort((dets.video, dets.end, dets.start, rank, -dets.confidence))
-    rank = rank[order]
+                  dtype=np.int64).reshape(len(pools), width, 2)
+    order = np.lexsort((dets.end, dets.start, dets.video, -dets.confidence))
+    video = dets.video[order]
     ious = segment_iou(dets.start[order, None], dets.end[order, None],
-                       gt[rank, :, 0], gt[rank, :, 1])
-    return rank.tolist(), ious.tolist(), ious.max(axis=1)
+                       gt[video, :, 0], gt[video, :, 1])
+    return video.tolist(), ious.tolist(), ious.max(axis=1)
 
 
 def _flags(ranked, iou_threshold):
     """TP flags in confidence order; each gt consumed at most once.
 
-    A detection takes the first strict IoU maximum among its video id's
+    A detection takes the first strict IoU maximum among its video row's
     unused gt and is a TP when that clears the threshold; one whose best
     IoU over all of its gt does not is an FP without any search.
     """
-    ranks, rows, best = ranked
+    videos, rows, best = ranked
     used = {}
     flags = np.zeros(len(rows), dtype=bool)
     for i in np.flatnonzero(best > iou_threshold).tolist():
         row = rows[i]
-        taken = used.setdefault(ranks[i], [False] * len(row))
+        taken = used.setdefault(videos[i], [False] * len(row))
         g_best, g_iou = -1, 0.0
         for g, v in enumerate(row):
             if v > g_iou and not taken[g]:
@@ -65,10 +62,9 @@ def _flags(ranked, iou_threshold):
     return flags
 
 
-def _ap(flags, gt_by_video):
+def _ap(flags, npos):
     """All-points interpolated AP of TP flags in confidence order, for a
-    class with ground truth (map_at skips the others)."""
-    npos = sum(len(v) for v in gt_by_video.values())
+    class with npos > 0 ground-truth segments (map_at skips the others)."""
     if not flags.size:
         return 0.0
     tp = np.cumsum(flags, dtype=np.float64)
@@ -115,24 +111,24 @@ class EvalReport:
                 w.writerow([f"kl_{name}", repr(self.kl[name])])
 
 
-def map_at(dets, video_ids, gt_by_class, iou_list):
+def map_at(dets, truth, iou_list):
     """EvalReport over the requested thresholds plus the averaged range.
 
-    dets.video indexes video_ids. Classes appear in the means only when
-    they have ground truth; a class with gt but no detections
-    contributes AP 0.
+    truth[i] is video i's list of (start, end, class) intervals, and i is
+    what dets.video holds. Classes appear in the means only when they
+    have ground truth; a class with gt but no detections contributes AP 0.
     """
-    classes = sorted(c for c, g in gt_by_class.items()
-                     if sum(len(v) for v in g.values()) > 0)
+    classes = sorted({c for intervals in truth for _, _, c in intervals})
     if not classes:
         raise DomainError("no ground truth in any class")
     thresholds = sorted(set(iou_list) | set(AVG_MAP_RANGE))
     aps = {}
     for c in classes:
         # one sort and one IoU row per detection serve every threshold
-        gt = gt_by_class[c]
-        ranked = _ranked(dets.take(dets.cls == c), video_ids, gt)
-        aps.update({(t, c): _ap(_flags(ranked, t), gt) for t in thresholds})
+        pools = [[(s, e) for s, e, k in intervals if k == c] for intervals in truth]
+        ranked = _ranked(dets.take(dets.cls == c), pools)
+        npos = sum(map(len, pools))
+        aps.update({(t, c): _ap(_flags(ranked, t), npos) for t in thresholds})
     per_thr = {t: float(np.mean([aps[(t, c)] for c in classes]))
                for t in thresholds}
     return EvalReport(

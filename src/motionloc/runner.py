@@ -21,7 +21,6 @@ import math
 import os
 import pickle
 import typing
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -257,8 +256,8 @@ def run_evaluation(cfg, params, videos):
 
 
 def _activations(cfg, params, videos):
-    """What _report scores: the videos' (id, gt_intervals) pairs, N x T x C
-    TCAS stack and N x T motionness stack.
+    """What _report scores: the videos' gt_intervals, N x T x C TCAS stack
+    and N x T motionness stack, all three in video order.
 
     The videos, at least one, share one clip length (_videos_per_tape),
     so both stacks are allocated up front. The videos are taken in order,
@@ -274,23 +273,18 @@ def _activations(cfg, params, videos):
                                         params, cfg.model)
         tcas[start:start + len(run)] = run_tcas.value
         motionness[start:start + len(run)] = run_mu.value[:, :, 0]
-    return [(v.id, v.gt_intervals) for v in videos], tcas, motionness
+    return [v.gt_intervals for v in videos], tcas, motionness
 
 
 def _report(cfg, truth, tcas, motionness):
-    """EvalReport of a run's stacks against truth, each video's (id,
-    gt_intervals) in stack order: mAP of the TCAS, localized in one call,
+    """EvalReport of a run's stacks against truth, each video's
+    gt_intervals in stack order: mAP of the TCAS, localized in one call,
     and the mean KL of each motionness row against its video's mask."""
-    gt_by_class = defaultdict(lambda: defaultdict(list))
-    for vid, intervals in truth:
-        for s, e, c in intervals:
-            gt_by_class[c][vid].append((s, e))
     dets = localize_video(tcas, cfg.loss.r, cfg.inference)
-    gt = {c: dict(v) for c, v in gt_by_class.items()}
-    report = map_at(dets, [vid for vid, _ in truth], gt, cfg.eval_iou)
+    report = map_at(dets, truth, cfg.eval_iou)
     report.kl[cfg.model.guidance_stream] = float(np.mean(
         [kl_guidance(mu, interval_mask(len(mu), intervals))
-         for (_, intervals), mu in zip(truth, motionness)]))
+         for intervals, mu in zip(truth, motionness)]))
     return report
 
 
@@ -313,15 +307,14 @@ def train_experiment(cfg, log=None):
     return params, curve, out
 
 
-def evaluate_params(cfg, params, out=None):
-    """Evaluate on the config's test split; optionally write report files."""
+def evaluate_params(cfg, params, out):
+    """Evaluate on the config's test split and write its reports under out."""
     _, test_videos = generate_corpus(cfg.corpus)
     report = run_evaluation(cfg, params, test_videos)
-    if out is not None:
-        out = resolve_out(out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(report.to_json())
-        report.write_csv(out / "report.csv")
+    out = resolve_out(out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "report.json").write_text(report.to_json())
+    report.write_csv(out / "report.csv")
     return report
 
 
@@ -362,10 +355,14 @@ def default_ablation_matrix():
 ABLATION_IOUS = (0.3, 0.4, 0.5, 0.7)
 
 
-def _cell_key(cfg):
-    data = dataclasses.asdict(cfg)
-    data.pop("out_dir")
-    return json.dumps(data, sort_keys=True)
+def _cell_key(cfg):  # every cell has the caller's out_dir
+    return json.dumps(dataclasses.asdict(cfg), sort_keys=True)
+
+
+def _no_out_dir(data, where):  # every table goes to the caller's directory
+    if isinstance(data, dict) and "out_dir" in data:
+        raise ConfigError(f"{where}.out_dir cannot be set in an ablation "
+                          "matrix; name the output directory with --out")
 
 
 def _error_text(e):
@@ -460,6 +457,7 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
     if not isinstance(base, dict):
         raise ConfigError(f"ablation matrix 'base' must be an object, got "
                           f"{type(base).__name__}")
+    _no_out_dir(base, "base")
     base = config_from_dict(base, base=base_cfg)
     if not any(matrix["tables"].values()):
         raise ConfigError("ablation matrix has no cells")
@@ -473,7 +471,9 @@ def run_ablation(base_cfg, matrix, out_dir, log=None):
         for cell in cells:
             name = cell["name"]
             try:
-                cfg = config_from_dict(cell.get("overrides", {}), base=base)
+                overrides = cell.get("overrides", {})
+                _no_out_dir(overrides, "overrides")
+                cfg = config_from_dict(overrides, base=base)
                 key = _cell_key(cfg)
                 if key not in jobs:
                     jobs[key], names[key] = cfg, f"{tname}/{name}"

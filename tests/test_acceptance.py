@@ -230,7 +230,7 @@ def test_criterion_4_graph_invariants():
 # 5. oracle equivalences
 
 
-def _greedy_ap_oracle(dets, gt_by_video, thr):
+def _greedy_ap_oracle(dets, segs_by_video, thr):
     """Exact-rational AP, written against the matching definition only."""
     def fiou(a, b):
         inter = min(a[1], b[1]) + 1 - max(a[0], b[0])
@@ -241,12 +241,12 @@ def _greedy_ap_oracle(dets, gt_by_video, thr):
 
     thr = Fraction(thr).limit_denominator(10 ** 6)
     order = sorted(dets, key=lambda dv: (-dv[1][3], dv[0], dv[1][0], dv[1][1]))
-    npos = sum(len(v) for v in gt_by_video.values())
+    npos = sum(map(len, segs_by_video))
     matched = set()
     flags = []
     for vid, prop in order:
         best_key, best = None, Fraction(0)
-        for g, seg in enumerate(gt_by_video.get(vid, [])):
+        for g, seg in enumerate(segs_by_video[vid]):
             if (vid, g) in matched:
                 continue
             s = fiou(prop[:2], seg)
@@ -274,11 +274,9 @@ def _iou(a, b):
 
 
 def _detections(pairs):
-    """Detections and their video id list from (video_id, (start, end,
-    cls, confidence)) pairs; ids are numbered in order of first appearance."""
-    ids = list(dict.fromkeys(vid for vid, _ in pairs))
-    rows = [(ids.index(vid), c, s, e, conf) for vid, (s, e, c, conf) in pairs]
-    return Detections(*(zip(*rows) if rows else ((),) * 5)), ids
+    """Detections from (video row, (start, end, cls, confidence)) pairs."""
+    rows = [(v, c, s, e, conf) for v, (s, e, c, conf) in pairs]
+    return Detections(*(zip(*rows) if rows else ((),) * 5))
 
 
 def _rows(dets):
@@ -314,7 +312,7 @@ def test_criterion_5_oracle_equivalences():
             props.append((s, s + int(rng.integers(0, 12)), 0,
                           round(float(rng.random()), 2)))
         thr = float(rng.uniform(0.2, 0.9))
-        kept = _rows(loc.nms(_detections([("v", p) for p in props])[0], thr))
+        kept = _rows(loc.nms(_detections([(0, p) for p in props]), thr))
         order = sorted(props, key=lambda p: (-p[3], p[0], p[1], p[2]))
         rank = {p: i for i, p in enumerate(order)}
         kept_set = set(kept)
@@ -325,21 +323,22 @@ def test_criterion_5_oracle_equivalences():
                        and rank[q] < rank[p] for q in kept)
                for p in props if p not in kept_set):
             problems.append(f"nms coverage trial {trial}")
-        reversed_dets = _detections([("v", p) for p in reversed(props)])[0]
+        reversed_dets = _detections([(0, p) for p in reversed(props)])
         if _rows(loc.nms(reversed_dets, thr)) != kept:
             problems.append(f"nms order dependence trial {trial}")
 
     # hand-derived PR case: one high-confidence miss, one low-confidence hit
     hand = metrics.map_at(
-        *_detections([("v", (0, 4, 0, 0.9)), ("v", (10, 19, 0, 0.1))]),
-        {0: {"v": [(10, 19)]}}, [0.5]).ap[(0.5, 0)]
+        _detections([(0, (0, 4, 0, 0.9)), (0, (10, 19, 0, 0.1))]),
+        [[(10, 19, 0)]], [0.5]).ap[(0.5, 0)]
     if hand != 0.5:
         problems.append(f"hand case gave {hand!r}")
 
     # exhaustive small scenarios vs the exact-rational oracle
-    gt = {"v1": [(0, 4), (10, 14)], "v2": [(2, 6)]}
-    pool = [("v1", (0, 4)), ("v1", (1, 5)), ("v1", (11, 13)),
-            ("v1", (3, 9)), ("v2", (2, 6)), ("v2", (4, 8))]
+    gt = [[(0, 4), (10, 14)], [(2, 6)]]
+    truth = [[(s, e, 0) for s, e in segs] for segs in gt]
+    pool = [(0, (0, 4)), (0, (1, 5)), (0, (11, 13)),
+            (0, (3, 9)), (1, (2, 6)), (1, (4, 8))]
     worst_ap = 0.0
     for size in (1, 2, 3):
         for combo in itertools.combinations(pool, size):
@@ -347,7 +346,7 @@ def test_criterion_5_oracle_equivalences():
                 dets = [(vid, (s, e, 0, 0.9 - 0.2 * rk))
                         for (vid, (s, e)), rk in zip(combo, ranks)]
                 for thr in (0.4, 0.5, 0.75):
-                    got = metrics.map_at(*_detections(dets), {0: gt},
+                    got = metrics.map_at(_detections(dets), truth,
                                          [thr]).ap[(thr, 0)]
                     want = float(_greedy_ap_oracle(dets, gt, thr))
                     worst_ap = max(worst_ap, abs(got - want))
@@ -366,17 +365,15 @@ def test_criterion_5_oracle_equivalences():
 
 @pytest.fixture(scope="module")
 def ablation_results(tmp_path_factory):
+    """Both tables of the default matrix from one run_ablation, as
+    `motionloc ablate` runs them, each with the joint wall time."""
     base = config_from_dict({"train": {"seed": PROTOCOL_SEED}})
-    matrix = default_ablation_matrix()
     out = tmp_path_factory.mktemp("acceptance_ablation")
-    timed = {}
-    for table in ("loss", "graph"):
-        t0 = time.perf_counter()
-        rows = run_ablation(base, {"tables": {table: matrix["tables"][table]}},
-                            out / table)[table]
-        timed[table] = ({r["name"]: r for r in rows},
-                        time.perf_counter() - t0)
-    return timed
+    t0 = time.perf_counter()
+    tables = run_ablation(base, default_ablation_matrix(), out)
+    elapsed = time.perf_counter() - t0
+    return {table: ({r["name"]: r for r in rows}, elapsed)
+            for table, rows in tables.items()}
 
 
 @pytest.mark.slow

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -594,6 +595,43 @@ class TestAblate:
                      str(path), "--out", str(tmp_path / "abl")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "abl").exists()
+
+    def test_a_matrix_base_out_dir_is_refused(self, tmp_path, capsys,
+                                              monkeypatch):
+        # neither --out nor the --config names a directory, so the run would
+        # fall back to runs/default under the working directory
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(runner.OUT_ROOT_ENV, raising=False)
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps({"base": {"out_dir": "from_base"},
+                                      "tables": {"t": [{"name": "a"}]}}))
+        assert main(["ablate", "--config", write_cfg(tmp_path),
+                     "--matrix", str(matrix)]) == 2
+        assert capsys.readouterr().err == (
+            "error: base.out_dir cannot be set in an ablation matrix; "
+            "name the output directory with --out\n")
+        assert not (tmp_path / "from_base").exists()
+        assert not (tmp_path / "runs").exists()
+
+    def test_a_cell_out_dir_is_that_cells_error(self, tmp_path, capsys):
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps({"tables": {"t": [
+            {"name": "a"},
+            {"name": "moved", "overrides": {"out_dir": str(tmp_path / "cell")}},
+        ]}}))
+        assert main(["ablate", "--config", write_cfg(tmp_path), "--matrix",
+                     str(matrix), "--out", str(tmp_path / "abl")]) == 0
+        error = ("ConfigError: overrides.out_dir cannot be set in an ablation "
+                 "matrix; name the output directory with --out")
+        with open(tmp_path / "abl" / "ablation_t.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["name"], row["error"]) for row in rows] == [
+            ("a", ""), ("moved", error)]
+        assert rows[1]["avg_map"] == ""
+        out, err = capsys.readouterr()
+        assert out.splitlines()[2] == f"  moved: FAILED ({error})"
+        assert err.splitlines() == ["[t/a] training"]
+        assert not (tmp_path / "cell").exists()
 
     def test_seed_flag_wins_over_the_matrix_base(self, tmp_path):
         """--config < matrix base < --seed < a cell's own overrides."""

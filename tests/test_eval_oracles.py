@@ -148,35 +148,39 @@ def test_localize_stack_matches_per_video_oracle():
     assert silent > 10  # videos whose chosen columns are constant
 
 
-def _random_ground_truth(rng, ids, classes):
-    """Per class, per video id: equal-length intervals on a grid, so a
-    detection often overlaps two of them equally; some ids have none."""
-    gt = {}
+def _random_truth(rng, n_videos, classes):
+    """Each video's (s, e, cls) intervals: per class, equal-length intervals
+    on a grid, so a detection often overlaps two of them equally; some
+    videos have none of a class."""
+    truth = [[] for _ in range(n_videos)]
     for c in classes:
-        per_video = {}
-        for vid in ids:
+        for intervals in truth:
             if rng.random() < 0.3:
                 continue
             length = int(rng.integers(3, 8))
             starts = sorted(rng.choice(np.arange(0, 40, length),
                                        size=int(rng.integers(1, 4)),
                                        replace=False).tolist())
-            per_video[vid] = [(s, s + length - 1) for s in starts]
-        gt[c] = per_video
-    return gt
+            intervals += [(s, s + length - 1, c) for s in starts]
+    return truth
 
 
-def _random_matching_input(rng, video_ids, classes):
-    """Ground truth keyed by id, and detections as rows (video index, cls,
-    s, e, conf) in video-index order, as evaluation produces them."""
-    gt = _random_ground_truth(rng, sorted(set(video_ids)), classes)
+def _pools(truth, c):
+    return [[(s, e) for s, e, k in intervals if k == c] for intervals in truth]
+
+
+def _random_matching_input(rng, n_videos, classes):
+    """Row truth, and detections as rows (video, cls, s, e, conf) in video
+    order, as evaluation produces them."""
+    truth = _random_truth(rng, n_videos, classes)
     rows = []
     for c in classes:
         if rng.random() < 0.15:
             continue                   # a class nothing was detected for
+        pools = _pools(truth, c)
         for _ in range(int(rng.integers(0, 30))):
-            v = int(rng.integers(len(video_ids)))
-            segs = gt[c].get(video_ids[v], [])
+            v = int(rng.integers(n_videos))
+            segs = pools[v]
             if segs and rng.random() < 0.7:
                 s, e = segs[rng.integers(len(segs))]
                 s += int(rng.integers(-3, 4))
@@ -187,40 +191,35 @@ def _random_matching_input(rng, video_ids, classes):
                 e = s + int(rng.integers(0, 10))
             rows.append((v, c, s, e, round(float(rng.random()), 1)))
     rows.sort(key=lambda row: row[0])
-    return gt, rows
+    return truth, rows
 
 
-def _oracle_dets(rows, video_ids):
-    out = {}
+def _oracle_input(truth, rows):
+    """The oracle's per-class detections and per-class, per-id ground truth,
+    with each video's row index for its id."""
+    dets, gt = {}, {}
     for v, c, s, e, conf in rows:
-        out.setdefault(c, []).append((video_ids[v], old.Proposal(s, e, c, conf)))
-    return out
+        dets.setdefault(c, []).append((v, old.Proposal(s, e, c, conf)))
+    for v, intervals in enumerate(truth):
+        for s, e, c in intervals:
+            gt.setdefault(c, {}).setdefault(v, []).append((s, e))
+    return dets, gt
 
 
-# list order differs from string order ("v10" < "v9"), and some ids repeat:
-# videos that share an id share its ground truth
-ID_LISTS = {
-    "distinct": ["a0", "a1", "a2", "a3", "a4", "a5"],
-    "unsorted": ["v9", "v10", "b", "v1", "a", "v100"],
-    "duplicate": ["v9", "v10", "v9", "a", "v10", "v9"],
-}
-
-
-def _check_matching(video_ids, seed):
-    rng = np.random.default_rng(seed)
+def test_matching_and_map_match_oracle():
+    rng = np.random.default_rng(92)
     classes = [0, 1, 2, 3]
     checked = empty_classes = 0
     for _ in range(200):
-        gt, rows = _random_matching_input(rng, video_ids, classes)
-        dets, want_dets = _dets(rows), _oracle_dets(rows, video_ids)
-        for c in classes:
-            if not any(gt[c].values()):
-                continue
+        truth, rows = _random_matching_input(rng, 6, classes)
+        dets = _dets(rows)
+        want_dets, gt = _oracle_input(truth, rows)
+        for c in sorted(gt):
             mine = dets.take(dets.cls == c)
             empty_classes += not len(mine)
-            ranked = metrics._ranked(mine, video_ids, gt[c])
+            ranked = metrics._ranked(mine, _pools(truth, c))
             thresholds = (0.1, 0.3, 0.5, 0.7, 0.95)
-            aps = metrics.map_at(mine, video_ids, {c: gt[c]}, thresholds).ap
+            aps = metrics.map_at(mine, truth, thresholds).ap
             for t in thresholds:
                 assert metrics._flags(ranked, t).tolist() == old.match_detections(
                     want_dets.get(c, []), gt[c], t)
@@ -228,9 +227,9 @@ def _check_matching(video_ids, seed):
                 want = old.average_precision(want_dets.get(c, []), gt[c], t)
                 assert got.hex() == want.hex()
                 checked += 1
-        if not any(any(g.values()) for g in gt.values()):
+        if not gt:
             continue
-        got = metrics.map_at(dets, video_ids, gt, [0.3, 0.5, 0.7])
+        got = metrics.map_at(dets, truth, [0.3, 0.5, 0.7])
         want = old.map_at(want_dets, gt, [0.3, 0.5, 0.7])
         assert list(got.ap.items()) == list(want.ap.items())
         assert got.to_json() == want.to_json()
@@ -238,34 +237,26 @@ def _check_matching(video_ids, seed):
     assert empty_classes > 20  # classes with gt and no detections score AP 0
 
 
-def test_matching_and_map_match_oracle():
-    _check_matching(ID_LISTS["distinct"], 92)
-
-
-@pytest.mark.parametrize("ids", ["unsorted", "duplicate"])
-def test_matching_with_unsorted_and_shared_ids(ids):
-    _check_matching(ID_LISTS[ids], 94)
-
-
 def _videos(ids):
     """One T=80 corpus of 19 videos: runs of 6 (480 snippets) end off a
-    divisor of 512, and the last run holds one. Ids are distinct, out of
-    string order, or shared between videos."""
+    divisor of 512, and the last run holds one. Ids are the corpus's own,
+    distinct and in row order, out of string order, or one for all."""
     videos, _ = generate_corpus(CorpusSpec(n_train=19, n_test=1, T=80, seed=3))
     if ids == "unsorted":
         return [dataclasses.replace(v, id=f"v{(7 * i) % 19}")
                 for i, v in enumerate(videos)]
-    if ids == "duplicate":
-        return [dataclasses.replace(v, id=f"v{i % 5}")
-                for i, v in enumerate(videos)]
+    if ids == "shared":
+        return [dataclasses.replace(v, id="v") for v in videos]
     return videos
 
 
 def _check_run_evaluation(mode, ids, monkeypatch):
+    """run_evaluation of the videos under the given ids writes the
+    report.json text of the oracle on them under their corpus ids."""
     cfg = runner.config_from_dict({"graph": {"mode": mode}})
     videos = _videos(ids)
     params = init_params(cfg.corpus.d, cfg.corpus.C, cfg.model, seed=5)
-    want = old.run_evaluation(cfg, params, videos).to_json()
+    want = old.run_evaluation(cfg, params, _videos("distinct")).to_json()
     mus = [old.forward(cfg, params, v)[1].value[0, :, 0] for v in videos]
     # up to eight videos per run, then one
     for snippets in (runner.TAPE_SNIPPETS, 1):
@@ -282,6 +273,8 @@ def test_run_evaluation_matches_per_video_oracle(mode, monkeypatch):
     _check_run_evaluation(mode, "distinct", monkeypatch)
 
 
-@pytest.mark.parametrize("ids", ["unsorted", "duplicate"])
+@pytest.mark.parametrize("ids", ["unsorted", "shared"])
 def test_run_evaluation_with_unsorted_and_shared_ids(ids, monkeypatch):
+    """Video ids never reach scoring: ids out of string order, or one id
+    for every video, score as the distinct corpus ids do."""
     _check_run_evaluation("sparse", ids, monkeypatch)

@@ -225,8 +225,7 @@ tcas = np.zeros((2, 16, 3))
 tcas[0, 2:6, 1] = 4.0
 tcas[1, 9:14, 2] = 3.0
 dets = localize_video(tcas, 8, InferenceConfig())
-gt = {1: {"a": [(2, 5)]}, 2: {"b": [(9, 13)]}}
-assert map_at(dets, ["a", "b"], gt, (0.5,)).map[0.5] == 1.0
+assert map_at(dets, [[(2, 5, 1)], [(9, 13, 2)]], (0.5,)).map[0.5] == 1.0
 print("numpy.ma" in sys.modules)
 """
 

@@ -15,48 +15,45 @@ def _p(s, e, conf, cls=0):
 
 
 def _dets(pairs):
-    """Detections and their video id list from (video_id, (s, e, cls, conf))
-    pairs; ids are numbered in order of first appearance."""
-    ids = list(dict.fromkeys(vid for vid, _ in pairs))
-    rows = [(ids.index(vid), c, s, e, conf) for vid, (s, e, c, conf) in pairs]
-    return Detections(*(zip(*rows) if rows else ((),) * 5)), ids
+    """Detections from (video row, (s, e, cls, conf)) pairs."""
+    rows = [(v, c, s, e, conf) for v, (s, e, c, conf) in pairs]
+    return Detections(*(zip(*rows) if rows else ((),) * 5))
 
 
-def _ap(pairs, gt, thr):
-    dets, ids = _dets(pairs)
-    return metrics.map_at(dets, ids, {0: gt}, [thr]).ap[(thr, 0)]
+def _ap(pairs, segs_by_video, thr):
+    """Class-0 AP; segs_by_video[i] holds video i's class-0 segments."""
+    truth = [[(s, e, 0) for s, e in segs] for segs in segs_by_video]
+    return metrics.map_at(_dets(pairs), truth, [thr]).ap[(thr, 0)]
 
 
-def _map(dets_by_class, gt, iou_list):
-    dets, ids = _dets([pair for c in sorted(dets_by_class)
-                       for pair in dets_by_class[c]])
-    return metrics.map_at(dets, ids, gt, iou_list)
+def _map(dets_by_class, truth, iou_list):
+    return metrics.map_at(_dets([pair for c in sorted(dets_by_class)
+                                 for pair in dets_by_class[c]]), truth, iou_list)
 
 
 def test_ap_perfect_detections():
-    gt = {"v1": [(0, 4), (10, 14)], "v2": [(3, 6)]}
-    dets = [("v1", _p(0, 4, 0.9)), ("v1", _p(10, 14, 0.8)),
-            ("v2", _p(3, 6, 0.7))]
+    gt = [[(0, 4), (10, 14)], [(3, 6)]]
+    dets = [(0, _p(0, 4, 0.9)), (0, _p(10, 14, 0.8)), (1, _p(3, 6, 0.7))]
     assert _ap(dets, gt, 0.5) == 1.0
 
 
 def test_ap_zero_detections():
-    assert _ap([], {"v": [(0, 3)]}, 0.5) == 0.0
+    assert _ap([], [[(0, 3)]], 0.5) == 0.0
 
 
 def test_ap_requires_ground_truth():
     with pytest.raises(DomainError):
-        _ap([("v", _p(0, 3, 0.5))], {"v": []}, 0.5)
+        _ap([(0, _p(0, 3, 0.5))], [[]], 0.5)
 
 
 def test_ap_hand_case_half():
     """High-confidence miss then low-confidence hit: PR (0,0), (1, 0.5) -> 0.5."""
-    gt = {"v": [(10, 19)]}
-    dets = [("v", _p(0, 4, 0.9)), ("v", _p(10, 19, 0.1))]
+    gt = [[(10, 19)]]
+    dets = [(0, _p(0, 4, 0.9)), (0, _p(10, 19, 0.1))]
     assert _ap(dets, gt, 0.5) == pytest.approx(0.5)
 
 
-def _oracle_ap(dets, gt_by_video, thr):
+def _oracle_ap(dets, segs_by_video, thr):
     """Exact-rational AP; matching found by enumerating assignments.
 
     Every injective detection-to-gt assignment is generated; the one kept
@@ -74,7 +71,7 @@ def _oracle_ap(dets, gt_by_video, thr):
 
     thr = Fraction(thr).limit_denominator(10**6)
     order = sorted(dets, key=lambda d: (-d[1][3], d[0], d[1][0], d[1][1]))
-    gt_keys = [(vid, g) for vid, segs in gt_by_video.items()
+    gt_keys = [(vid, g) for vid, segs in enumerate(segs_by_video)
                for g in range(len(segs))]
     npos = len(gt_keys)
     choices = [gt_keys + [None]] * len(order)
@@ -88,7 +85,7 @@ def _oracle_ap(dets, gt_by_video, thr):
         for (vid, prop), a in zip(order, assign):
             avail = [(v, g) for (v, g) in gt_keys
                      if v == vid and (v, g) not in matched]
-            scored = [((v, g), fiou(prop[:2], gt_by_video[v][g]))
+            scored = [((v, g), fiou(prop[:2], segs_by_video[v][g]))
                       for (v, g) in avail]
             qualifying = [(key, s) for key, s in scored if s > thr]
             if not qualifying:
@@ -122,9 +119,8 @@ def _oracle_ap(dets, gt_by_video, thr):
 
 
 def test_ap_matches_exhaustive_oracle():
-    gt = {"v1": [(0, 4), (10, 14)], "v2": [(2, 6)]}
-    dets = [("v1", _p(0, 4, 0.9)), ("v2", _p(3, 7, 0.8)),
-            ("v1", _p(11, 12, 0.7))]
+    gt = [[(0, 4), (10, 14)], [(2, 6)]]
+    dets = [(0, _p(0, 4, 0.9)), (1, _p(3, 7, 0.8)), (0, _p(11, 12, 0.7))]
     got = _ap(dets, gt, 0.5)
     want = _oracle_ap(dets, gt, 0.5)
     assert want == Fraction(2, 3)  # hand-derived for this scenario
@@ -138,10 +134,10 @@ def test_ap_matches_exhaustive_oracle():
 def test_ap_random_against_oracle():
     rng = np.random.default_rng(0)
     for _ in range(25):
-        gt = {"v1": [(0, 4)], "v2": [(5, 11), (20, 24)]}
+        gt = [[(0, 4)], [(5, 11), (20, 24)]]
         dets = []
         for _ in range(int(rng.integers(1, 5))):
-            vid = "v1" if rng.random() < 0.5 else "v2"
+            vid = 0 if rng.random() < 0.5 else 1
             s = int(rng.integers(0, 22))
             e = s + int(rng.integers(0, 8))
             dets.append((vid, _p(s, e, round(float(rng.random()), 3))))
@@ -172,22 +168,22 @@ def test_ap_envelope_matches_loop_oracle():
         n = int(rng.integers(1, 40))
         flags = [bool(f) for f in rng.random(n) < rng.random()]
         npos = sum(flags) + int(rng.integers(0 if any(flags) else 1, 5))
-        gt = {"v": [(10 * k, 10 * k + 4) for k in range(npos)]}
+        gt = [[(10 * k, 10 * k + 4) for k in range(npos)]]
         dets, k = [], 0
         for i, f in enumerate(flags):
             s = 10 * k if f else 10 * (npos + i)
             k += f
-            dets.append(("v", _p(s, s + 4, 1.0 - i / 64)))
-        ranked = metrics._ranked(*_dets(dets), gt)
+            dets.append((0, _p(s, s + 4, 1.0 - i / 64)))
+        ranked = metrics._ranked(_dets(dets), gt)
         assert metrics._flags(ranked, 0.5).tolist() == flags
         assert (_ap(dets, gt, 0.5)
                 == _ap_from_flags(flags, npos))
 
 
 def test_ap_confidence_transform_invariance():
-    gt = {"v": [(0, 4), (8, 12), (20, 27)]}
-    dets = [("v", _p(0, 3, 0.2)), ("v", _p(9, 12, 0.5)),
-            ("v", _p(15, 18, 0.8)), ("v", _p(21, 27, 0.4))]
+    gt = [[(0, 4), (8, 12), (20, 27)]]
+    dets = [(0, _p(0, 3, 0.2)), (0, _p(9, 12, 0.5)),
+            (0, _p(15, 18, 0.8)), (0, _p(21, 27, 0.4))]
     base = _ap(dets, gt, 0.5)
     warped = [(v, (s, e, c, math.exp(3 * conf))) for v, (s, e, c, conf) in dets]
     assert _ap(warped, gt, 0.5) == pytest.approx(base)
@@ -196,8 +192,8 @@ def test_ap_confidence_transform_invariance():
 def test_map_monotone_in_iou_threshold():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        gt = {0: {"v": [(0, 9), (20, 29)]}, 1: {"v": [(12, 17)]}}
-        dets = {c: [("v", _p(int(s), int(s + rng.integers(1, 12)),
+        gt = [[(0, 9, 0), (20, 29, 0), (12, 17, 1)]]
+        dets = {c: [(0, _p(int(s), int(s + rng.integers(1, 12)),
                              float(rng.random()), c))
                     for s in rng.integers(0, 30, size=6)] for c in (0, 1)}
         report = _map(dets, gt, iou_list=[0.1, 0.3, 0.5, 0.7, 0.9])
@@ -206,8 +202,8 @@ def test_map_monotone_in_iou_threshold():
 
 
 def test_map_single_class_and_exclusion():
-    gt = {0: {"v": [(0, 4)]}, 1: {"v": []}}  # class 1 has no gt anywhere
-    dets = {0: [("v", _p(0, 4, 0.9))], 1: [("v", _p(7, 9, 0.8, 1))]}
+    gt = [[(0, 4, 0)]]  # class 1 has no gt anywhere
+    dets = {0: [(0, _p(0, 4, 0.9))], 1: [(0, _p(7, 9, 0.8, 1))]}
     report = _map(dets, gt, iou_list=[0.5])
     assert report.map[0.5] == 1.0  # class 1 excluded, not averaged as 0
     assert (0.5, 1) not in report.ap
@@ -242,8 +238,8 @@ def test_kl_properties():
 
 
 def test_report_serialization(tmp_path):
-    gt = {0: {"v": [(0, 4)]}}
-    dets = {0: [("v", _p(0, 4, 0.9))]}
+    gt = [[(0, 4, 0)]]
+    dets = {0: [(0, _p(0, 4, 0.9))]}
     report = _map(dets, gt, iou_list=[0.5])
     report.kl["motion"] = 0.0123
     blob = report.to_json()
